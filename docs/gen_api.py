@@ -117,10 +117,11 @@ API_PAGES = {
         ),
     ),
     "parallel": (
-        "repro.parallel — worker pool and triple store",
+        "repro.parallel — worker pool, triple store and BLAS threads",
         (
             "repro.parallel.pool",
             "repro.parallel.store",
+            "repro.utils.blas",
         ),
     ),
     "resilience": (

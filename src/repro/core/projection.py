@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.graph.graph import Graph
+from repro.utils.blas import exact_int_matmul
 
 
 def degree_similarity(own_degree: float, neighbor_degree: float) -> float:
@@ -236,8 +237,9 @@ def projected_triangle_count(projected_rows: np.ndarray) -> int:
         return 0
     # Strictly-upper-triangular view: C[i, j] = a_ij for i < j, read from row i.
     upper = np.triu(rows, k=1)
-    # For each pair (j, k) with j < k, the number of i < j with
-    # a_ij = a_ik = 1 is (C^T C)[j, k] restricted to i < j, which the strict
-    # upper-triangular structure of C already enforces.
-    wedge_counts = upper.T @ upper
-    return int(np.sum(np.triu(wedge_counts, k=1) * upper))
+    # For each pair (j, k), the number of i < j with a_ij = a_ik = 1 is
+    # (C^T C)[j, k] restricted to i < j, which the strict upper-triangular
+    # structure of C already enforces; multiplying by C keeps only j < k.
+    # The product is an exact float GEMM (entries are at most n).
+    wedge_counts = exact_int_matmul(upper.T, upper)
+    return int(np.vdot(wedge_counts, upper))

@@ -19,6 +19,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.utils.blas import exact_int_matmul
 
 
 def count_triangles(graph: Graph, use_cache: bool = True) -> int:
@@ -80,7 +81,8 @@ def count_triangles_matrix(graph: Graph) -> int:
     matrix = graph.adjacency_matrix(copy=False)
     if matrix.shape[0] == 0:
         return 0
-    cube_trace = int(np.trace(matrix @ matrix @ matrix))
+    # trace(A^3) = sum_ij (A^2)_ij A_ji; A^2 is an exact float GEMM.
+    cube_trace = int(np.sum(exact_int_matmul(matrix, matrix) * matrix.T))
     return cube_trace // 6
 
 

@@ -35,6 +35,7 @@ from repro.runtime.wire import (
     WireEndpoint,
     summary_delta,
 )
+from repro.utils.blas import limit_blas_threads
 
 __all__ = ["run_dealer"]
 
@@ -125,8 +126,10 @@ def run_dealer(driver_sock, s1_sock, s2_sock) -> None:
     Handshakes driver, server 1, server 2 (in that order), then serves one
     full provisioning replay per ``RUN`` control frame.  Any failure — a
     server dying mid-provision surfaces here as a send error — is reported
-    to the driver as an ``ERROR`` frame and ends the process.
+    to the driver as an ``ERROR`` frame and ends the process.  The process
+    uses one BLAS thread, so the three peers do not oversubscribe the host.
     """
+    limit_blas_threads(1)
     driver_ep = WireEndpoint(driver_sock, name="dealer", peer="driver")
     server1 = WireEndpoint(s1_sock, name="dealer", peer="server1")
     server2 = WireEndpoint(s2_sock, name="dealer", peer="server2")

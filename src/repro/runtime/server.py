@@ -59,6 +59,7 @@ from repro.runtime.wire import (
     summary_delta,
 )
 from repro.telemetry.spans import NULL_TRACER, Tracer
+from repro.utils.blas import limit_blas_threads
 from repro.utils.rng import derive_rng, stable_seed_from_name
 
 __all__ = ["OpeningChannel", "run_server"]
@@ -544,8 +545,10 @@ def run_server(role: int, driver_sock, dealer_sock, peer_sock) -> None:
     inside a release is reported as an ``ERROR`` frame on *both* the peer
     and the driver link (so neither ever blocks on a round that will not
     come) and ends the process; an :class:`InjectedCrash` exits immediately
-    with status 2, simulating the process dying mid-round.
+    with status 2, simulating the process dying mid-round.  The process
+    uses one BLAS thread, so the three peers do not oversubscribe the host.
     """
+    limit_blas_threads(1)
     name = f"server{int(role)}"
     driver_ep = WireEndpoint(driver_sock, name=name, peer="driver")
     dealer_ep = WireEndpoint(dealer_sock, name=name, peer="dealer")

@@ -58,6 +58,7 @@ from repro.parallel import WorkerPool, resolve_workers
 from repro.stats.base import SubgraphStatistic, validate_projected_rows
 from repro.stats.registry import register_statistic
 from repro.telemetry import resolve_telemetry
+from repro.utils.blas import exact_int_matmul
 from repro.utils.rng import RandomState
 
 __all__ = [
@@ -85,7 +86,7 @@ def count_four_cycles_exact(graph: Graph) -> int:
     if n < 4:
         return 0
     adjacency = graph.adjacency_matrix(copy=False)
-    wedges = adjacency @ adjacency
+    wedges = exact_int_matmul(adjacency, adjacency)
     upper_j, upper_k = np.triu_indices(n, k=1)
     w = wedges[upper_j, upper_k]
     return int(np.sum(w * (w - 1))) // 4
@@ -172,7 +173,7 @@ class FourCycleStatistic(SubgraphStatistic):
         if n < 4:
             return 0
         mutual = rows * rows.T
-        wedges = mutual @ mutual
+        wedges = exact_int_matmul(mutual, mutual)
         upper_j, upper_k = np.triu_indices(n, k=1)
         w = wedges[upper_j, upper_k]
         return int(np.sum(w * (w - 1))) // 4

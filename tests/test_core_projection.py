@@ -118,6 +118,15 @@ class TestProjectedTriangleCount:
         assert counts[-1] == count_triangles(medium_cluster_graph)
 
 
+    @pytest.mark.parametrize("n,density", [(7, 0.5), (130, 0.3), (300, 0.05), (257, 0.9)])
+    def test_matches_int64_reference_on_asymmetric_rows(self, n, density):
+        """The float GEMM evaluation equals the int64 formula bit for bit."""
+        rows = (np.random.default_rng(n).random((n, n)) < density).astype(np.int64)
+        upper = np.triu(rows, k=1)
+        expected = int(np.sum(np.triu(upper.T @ upper, k=1) * upper))
+        assert projected_triangle_count(rows) == expected
+
+
 class TestSimilarityBeatsRandomProjection:
     def test_figure3_example_similarity_keeps_triangles(self, two_triangle_graph):
         """The paper's motivating example: the shared edge must survive."""

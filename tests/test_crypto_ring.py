@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.crypto.ring import DEFAULT_RING, Ring
+from repro.crypto.ring import (
+    DEFAULT_RING,
+    LIMB_MATMUL_CROSSOVER,
+    LIMB_MATMUL_MAX_INNER,
+    LIMB_STRIP,
+    Ring,
+    limb_matmul_applies,
+)
 from repro.exceptions import ConfigurationError
 
 
@@ -96,6 +103,67 @@ class TestArrayArithmetic:
         b = ring.random_array((3, 3), rng)
         expected = (a.astype(object) @ b.astype(object)) % ring.modulus
         assert np.array_equal(ring.matmul(a, b).astype(object), expected)
+
+
+
+def _int64_reference(ring, a, b):
+    product = (a.view(np.int64) @ b.view(np.int64)).view(np.uint64)
+    return product & np.uint64(ring.mask)
+
+
+def _full_range(shape, rng):
+    """Uniform uint64 operands with an all-ones row and column (2^64 - 1)."""
+    x = rng.integers(0, np.iinfo(np.uint64).max, size=shape, dtype=np.uint64, endpoint=True)
+    x[1, :] = np.iinfo(np.uint64).max
+    x[:, -1] = np.iinfo(np.uint64).max
+    return x
+
+
+class TestLimbMatmul:
+    """The 16-bit-limb float64 GEMM path is bit-identical to int64 ``@``."""
+
+    @pytest.mark.parametrize("bits", [16, 63, 64])
+    @pytest.mark.parametrize(
+        "m,k,n",
+        [
+            (LIMB_MATMUL_CROSSOVER, LIMB_MATMUL_CROSSOVER, LIMB_MATMUL_CROSSOVER),
+            (LIMB_STRIP, LIMB_STRIP, LIMB_STRIP),
+            (513, 257, 600),  # straddles the strip boundaries on every axis
+            (LIMB_MATMUL_CROSSOVER - 1, 300, 300),  # below the crossover: int64 path
+        ],
+    )
+    def test_matches_int64_reference(self, bits, m, k, n):
+        ring = Ring(bits=bits)
+        rng = np.random.default_rng(m * 7 + k * 3 + n + bits)
+        a = _full_range((m, k), rng)
+        b = _full_range((k, n), rng)
+        product = ring.matmul(a, b)
+        assert product.dtype == np.uint64
+        assert np.array_equal(product, _int64_reference(ring, a, b))
+
+    def test_all_ones_operands(self):
+        """Every limb saturated: the largest partial sums the GEMMs produce."""
+        size = LIMB_MATMUL_CROSSOVER
+        a = np.full((size, size), np.iinfo(np.uint64).max, dtype=np.uint64)
+        expected = _int64_reference(DEFAULT_RING, a, a)
+        assert np.array_equal(DEFAULT_RING.matmul(a, a), expected)
+
+    def test_dispatch_predicate(self):
+        big = LIMB_MATMUL_CROSSOVER
+        assert limb_matmul_applies((big, big), (big, big))
+        assert not limb_matmul_applies((big - 1, big), (big, big))
+        assert not limb_matmul_applies((big, big - 1), (big - 1, big))
+        assert not limb_matmul_applies((big, big), (big, big - 1))
+        # Batched (3-D) and vector products stay on int64 @.
+        assert not limb_matmul_applies((2, big, big), (2, big, big))
+        assert not limb_matmul_applies((big,), (big, big))
+
+    def test_dispatch_respects_exactness_bound(self):
+        """k * 2^32 <= 2^53: the largest exact inner dimension is 2^21."""
+        assert LIMB_MATMUL_MAX_INNER * (1 << 32) <= 1 << 53
+        assert limb_matmul_applies((256, LIMB_MATMUL_MAX_INNER), (LIMB_MATMUL_MAX_INNER, 256))
+        too_wide = LIMB_MATMUL_MAX_INNER + 1
+        assert not limb_matmul_applies((256, too_wide), (too_wide, 256))
 
 
 class TestSampling:
