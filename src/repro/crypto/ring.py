@@ -8,7 +8,7 @@ to (possibly negative) integers such as noise values or centred shares.
 
 Implementation note: vectorised operations use ``numpy.uint64`` with ``l = 64``
 by default, where modular wrap-around is native; other widths mask explicitly.
-Large matrix products run as float64 BLAS GEMMs over 16-bit limbs
+Large matrix products run as six float64 BLAS GEMMs over 22-bit limbs
 (:func:`limb_matmul_applies`), which is exact and an order of magnitude
 faster than numpy's BLAS-less integer ``@``.
 """
@@ -25,31 +25,36 @@ from repro.utils.rng import RandomState, derive_rng
 
 IntOrArray = Union[int, np.ndarray]
 
-#: Width of the limbs :meth:`Ring.matmul` splits large operands into.
-LIMB_BITS = 16
-#: Largest inner dimension ``k`` for which a limb-pair product is exact in
-#: float64: each entry is a sum of ``k`` products below ``2^32``, and
-#: ``k * 2^32 <= 2^53``.
-LIMB_MATMUL_MAX_INNER = 1 << 21
+#: Width of the limbs :meth:`Ring.matmul` splits large operands into: a
+#: 64-bit element is three limbs (22 + 22 + 20 bits).
+LIMB_BITS = 22
+#: Inner-dimension chunk of one limb GEMM.  Each entry is a sum of at most
+#: ``LIMB_INNER_CHUNK`` products below ``2^44``, so it stays below ``2^53``
+#: and float64 holds it exactly; chunk results are summed in uint64.
+LIMB_INNER_CHUNK = 512
 #: Smallest operand dimension at which the limb product beats int64 ``@``.
-#: Best-of-5-to-20 times of one ``n x n @ n x n`` uint64 product on a
-#: 2-vCPU Intel Xeon (AVX-512; OpenBLAS 0.3.31, numpy 2.4):
+#: Best-of-20-to-40 times of one ``n x n @ n x n`` uint64 product on an
+#: idle 2-vCPU Intel Xeon (AVX-512; OpenBLAS 0.3.31, numpy 2.4):
 #:
 #: ======  ===========  ======================  =====================
 #: n       int64 ``@``  limbs, 2 BLAS threads   limbs, 1 BLAS thread
 #: ======  ===========  ======================  =====================
-#: 64      0.26 ms      0.30 ms                 0.21 ms
-#: 96      0.89 ms      0.93 ms                 0.48 ms
-#: 128     2.32 ms      1.52 ms                 1.51 ms
-#: 256     17.1 ms      8.0 ms                  8.7 ms
-#: 512     401 ms       50 ms                   80 ms
-#: 768     1.01 s       0.16 s                  0.26 s
-#: 1024    4.63 s       0.39 s                  0.56 s
+#: 64      0.096 ms     0.094 ms                0.095 ms
+#: 96      0.36 ms      0.21 ms                 0.21 ms
+#: 104     0.41 ms      0.43 ms                 0.30 ms
+#: 128     1.64 ms      0.64 ms                 0.66 ms
+#: 256     13.0 ms      3.0 ms                  3.9 ms
+#: 512     223 ms       20 ms                   26 ms
+#: 768     0.52 s       0.063 s                 0.086 s
+#: 1024    3.77 s       0.13 s                  0.19 s
 #: ======  ===========  ======================  =====================
+#:
+#: The limbs win at 96 but lose at 104-108 under 2 BLAS threads, so the
+#: crossover stays at 128.
 LIMB_MATMUL_CROSSOVER = 128
-#: Row/column strip width of the limb product; bounds its float64
-#: temporaries to ``5 * LIMB_STRIP * k`` elements (all four limbs of a
-#: column strip of ``b``, one limb of a row strip of ``a``).
+#: Row/column strip width of the limb product; with the inner chunk it
+#: bounds the float64 temporaries to ``4 * LIMB_STRIP * LIMB_INNER_CHUNK``
+#: elements (three limbs of a ``b`` block, one limb of an ``a`` block).
 LIMB_STRIP = 256
 
 
@@ -57,9 +62,9 @@ def limb_matmul_applies(a_shape, b_shape) -> bool:
     """Whether :meth:`Ring.matmul` of these operand shapes uses the limb GEMMs.
 
     Only 2-D products whose smallest dimension reaches
-    :data:`LIMB_MATMUL_CROSSOVER` and whose inner dimension is at most
-    :data:`LIMB_MATMUL_MAX_INNER` (the exactness bound); everything else,
-    batched products included, runs as int64 ``@``.
+    :data:`LIMB_MATMUL_CROSSOVER`; everything else, batched products
+    included, runs as int64 ``@``.  The limb path is exact for every inner
+    dimension.
 
     Examples
     --------
@@ -71,44 +76,44 @@ def limb_matmul_applies(a_shape, b_shape) -> bool:
     if len(a_shape) != 2 or len(b_shape) != 2:
         return False
     rows, inner = a_shape
-    return (
-        min(rows, inner, b_shape[1]) >= LIMB_MATMUL_CROSSOVER
-        and inner <= LIMB_MATMUL_MAX_INNER
-    )
+    return min(rows, inner, b_shape[1]) >= LIMB_MATMUL_CROSSOVER
 
 
 def _limb(x: np.ndarray, index: int) -> np.ndarray:
-    """Limb *index* (16 bits, least significant first) of uint64 *x* as float64."""
+    """Limb *index* (22 bits, least significant first) of uint64 *x* as float64."""
     low = np.uint64((1 << LIMB_BITS) - 1)
     return ((x >> np.uint64(LIMB_BITS * index)) & low).astype(np.float64)
 
 
 def _limb_matmul(a: np.ndarray, b: np.ndarray, num_limbs: int) -> np.ndarray:
-    """``a @ b mod 2^(16 * num_limbs)`` of uint64 matrices via float64 GEMMs.
+    """``a @ b mod 2^(22 * num_limbs)`` of uint64 matrices via float64 GEMMs.
 
-    With ``a = sum_i a_i 2^(16i)`` and ``b = sum_j b_j 2^(16j)`` in 16-bit
-    limbs, ``a @ b = sum_{i,j} (a_i @ b_j) 2^(16(i+j))``; pairs with
-    ``i + j >= num_limbs`` vanish modulo the ring.  Each ``a_i @ b_j`` is an
-    exact float64 GEMM while the inner dimension is at most
-    :data:`LIMB_MATMUL_MAX_INNER`; the shifted terms are summed in uint64,
-    whose wrap-around is reduction modulo ``2^64``.  A column strip of *b*
-    keeps all its limbs; a row strip of *a* is split one limb at a time.
+    With ``a = sum_i a_i 2^(22i)`` and ``b = sum_j b_j 2^(22j)`` in 22-bit
+    limbs, ``a @ b = sum_{i,j} (a_i @ b_j) 2^(22(i+j))``; pairs with
+    ``i + j >= num_limbs`` vanish modulo the ring, leaving six GEMMs for
+    three limbs.  The inner dimension is cut into
+    :data:`LIMB_INNER_CHUNK`-wide chunks, within which each ``a_i @ b_j`` is
+    an exact float64 GEMM; the shifted terms of every chunk are summed in
+    uint64, whose wrap-around is reduction modulo ``2^64``.  A column strip
+    of *b* keeps all its limbs; a row strip of *a* is split one limb at a
+    time.
     """
-    rows, cols = a.shape[0], b.shape[1]
-    out = np.empty((rows, cols), dtype=np.uint64)
+    rows, inner = a.shape
+    cols = b.shape[1]
+    out = np.zeros((rows, cols), dtype=np.uint64)
     for c0 in range(0, cols, LIMB_STRIP):
-        b_strip = b[:, c0:c0 + LIMB_STRIP]
-        b_limbs = [_limb(b_strip, j) for j in range(num_limbs)]
-        for r0 in range(0, rows, LIMB_STRIP):
-            a_strip = a[r0:r0 + LIMB_STRIP]
-            block = out[r0:r0 + LIMB_STRIP, c0:c0 + LIMB_STRIP]
-            block[...] = 0
-            for i in range(num_limbs):
-                a_limb = _limb(a_strip, i)
-                for j in range(num_limbs - i):
-                    term = (a_limb @ b_limbs[j]).astype(np.uint64)
-                    term <<= np.uint64(LIMB_BITS * (i + j))
-                    block += term
+        for k0 in range(0, inner, LIMB_INNER_CHUNK):
+            b_block = b[k0:k0 + LIMB_INNER_CHUNK, c0:c0 + LIMB_STRIP]
+            b_limbs = [_limb(b_block, j) for j in range(num_limbs)]
+            for r0 in range(0, rows, LIMB_STRIP):
+                a_block = a[r0:r0 + LIMB_STRIP, k0:k0 + LIMB_INNER_CHUNK]
+                block = out[r0:r0 + LIMB_STRIP, c0:c0 + LIMB_STRIP]
+                for i in range(num_limbs):
+                    a_limb = _limb(a_block, i)
+                    for j in range(num_limbs - i):
+                        term = (a_limb @ b_limbs[j]).astype(np.uint64)
+                        term <<= np.uint64(LIMB_BITS * (i + j))
+                        block += term
     return out
 
 
@@ -233,7 +238,7 @@ class Ring:
         """Matrix product in the ring (element-wise reduction mod ``2^l``).
 
         Large 2-D products (:func:`limb_matmul_applies`) run as exact
-        float64 GEMMs over 16-bit limbs; the rest as int64 ``@``.  Both are
+        float64 GEMMs over 22-bit limbs; the rest as int64 ``@``.  Both are
         bit-identical to the product modulo ``2^l``.
         """
         a = np.asarray(a, dtype=self.dtype)

@@ -7,8 +7,9 @@ import pytest
 
 from repro.crypto.ring import (
     DEFAULT_RING,
+    LIMB_BITS,
+    LIMB_INNER_CHUNK,
     LIMB_MATMUL_CROSSOVER,
-    LIMB_MATMUL_MAX_INNER,
     LIMB_STRIP,
     Ring,
     limb_matmul_applies,
@@ -120,9 +121,10 @@ def _full_range(shape, rng):
 
 
 class TestLimbMatmul:
-    """The 16-bit-limb float64 GEMM path is bit-identical to int64 ``@``."""
+    """The 22-bit-limb float64 GEMM path is bit-identical to int64 ``@``."""
 
-    @pytest.mark.parametrize("bits", [16, 63, 64])
+    # Limb counts change between 22/23 and 44/45 bits.
+    @pytest.mark.parametrize("bits", [16, 22, 23, 44, 45, 63, 64])
     @pytest.mark.parametrize(
         "m,k,n",
         [
@@ -130,6 +132,11 @@ class TestLimbMatmul:
             (LIMB_STRIP, LIMB_STRIP, LIMB_STRIP),
             (513, 257, 600),  # straddles the strip boundaries on every axis
             (LIMB_MATMUL_CROSSOVER - 1, 300, 300),  # below the crossover: int64 path
+            # Inner dimensions straddling the chunk boundaries.
+            (LIMB_MATMUL_CROSSOVER, LIMB_INNER_CHUNK - 1, LIMB_MATMUL_CROSSOVER + 1),
+            (LIMB_MATMUL_CROSSOVER, LIMB_INNER_CHUNK, LIMB_MATMUL_CROSSOVER + 1),
+            (LIMB_MATMUL_CROSSOVER, LIMB_INNER_CHUNK + 1, LIMB_MATMUL_CROSSOVER + 1),
+            (LIMB_MATMUL_CROSSOVER, 2 * LIMB_INNER_CHUNK + 1, LIMB_MATMUL_CROSSOVER + 1),
         ],
     )
     def test_matches_int64_reference(self, bits, m, k, n):
@@ -142,11 +149,15 @@ class TestLimbMatmul:
         assert np.array_equal(product, _int64_reference(ring, a, b))
 
     def test_all_ones_operands(self):
-        """Every limb saturated: the largest partial sums the GEMMs produce."""
-        size = LIMB_MATMUL_CROSSOVER
-        a = np.full((size, size), np.iinfo(np.uint64).max, dtype=np.uint64)
-        expected = _int64_reference(DEFAULT_RING, a, a)
-        assert np.array_equal(DEFAULT_RING.matmul(a, a), expected)
+        """Every limb saturated over a full chunk: the largest partial sums the GEMMs produce."""
+        ones = np.iinfo(np.uint64).max
+        a = np.full((LIMB_MATMUL_CROSSOVER, LIMB_INNER_CHUNK), ones, dtype=np.uint64)
+        b = np.full((LIMB_INNER_CHUNK, LIMB_MATMUL_CROSSOVER), ones, dtype=np.uint64)
+        expected = _int64_reference(DEFAULT_RING, a, b)
+        assert np.array_equal(DEFAULT_RING.matmul(a, b), expected)
+
+    def test_chunk_partial_sums_are_exact_in_float64(self):
+        assert LIMB_INNER_CHUNK * ((1 << LIMB_BITS) - 1) ** 2 < 1 << 53
 
     def test_dispatch_predicate(self):
         big = LIMB_MATMUL_CROSSOVER
@@ -158,12 +169,10 @@ class TestLimbMatmul:
         assert not limb_matmul_applies((2, big, big), (2, big, big))
         assert not limb_matmul_applies((big,), (big, big))
 
-    def test_dispatch_respects_exactness_bound(self):
-        """k * 2^32 <= 2^53: the largest exact inner dimension is 2^21."""
-        assert LIMB_MATMUL_MAX_INNER * (1 << 32) <= 1 << 53
-        assert limb_matmul_applies((256, LIMB_MATMUL_MAX_INNER), (LIMB_MATMUL_MAX_INNER, 256))
-        too_wide = LIMB_MATMUL_MAX_INNER + 1
-        assert not limb_matmul_applies((256, too_wide), (too_wide, 256))
+    def test_dispatch_covers_wide_inner_dimension(self):
+        """Chunking the inner dimension makes the limb path exact for every k."""
+        wide = 1 << 22
+        assert limb_matmul_applies((256, wide), (wide, 256))
 
 
 class TestSampling:
