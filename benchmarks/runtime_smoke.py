@@ -6,7 +6,9 @@ trustworthy as a drop-in engine:
 * **Bit-identity** — for every counting backend, a release computed by the
   four-process runtime (driver + two servers + dealer over socket links)
   equals the in-process engine's release exactly: noisy count, noisy max
-  degree, and the full per-phase communication ledger.
+  degree, and the full per-phase communication ledger.  The matrix and
+  blocked backends are checked again at ``LIMB_NUM_NODES`` users, where the
+  servers' ring products run on the limb GEMM path.
 * **Ledger/wire reconciliation** — the driver's post-run invariant (every
   logical byte the :class:`~repro.crypto.protocol.CommunicationLedger`
   records is accounted for by payload bytes physically written to a socket)
@@ -43,6 +45,10 @@ from repro.utils.atomic import atomic_write_json
 OUTPUT_PATH = Path(__file__).resolve().parent / "results" / "runtime_smoke.json"
 BACKENDS = ("faithful", "batched", "matrix", "blocked")
 NUM_NODES = 24
+#: Backends re-checked at a size whose ring products take the limb path
+#: (blocked with 128-wide tiles).
+LIMB_BACKENDS = ("matrix", "blocked")
+LIMB_NUM_NODES = 300
 
 
 def _config(backend: str, distributed: bool, **overrides) -> CargoConfig:
@@ -60,10 +66,10 @@ def _config(backend: str, distributed: bool, **overrides) -> CargoConfig:
     return CargoConfig(**kwargs)
 
 
-def check_bit_identity(graph, rows: list, failures: list) -> None:
-    for backend in BACKENDS:
-        reference = Cargo(_config(backend, False)).run(graph)
-        result = run_distributed(graph, _config(backend, True))
+def check_bit_identity(graph, rows: list, failures: list, backends=BACKENDS, **overrides) -> None:
+    for backend in backends:
+        reference = Cargo(_config(backend, False, **overrides)).run(graph)
+        result = run_distributed(graph, _config(backend, True, **overrides))
         identical = (
             result.noisy_triangle_count == reference.noisy_triangle_count
             and result.noisy_max_degree == reference.noisy_max_degree
@@ -71,7 +77,7 @@ def check_bit_identity(graph, rows: list, failures: list) -> None:
         )
         status = "ok" if identical else "FAIL"
         print(
-            f"  {status:4s} bit-identity/{backend}: distributed "
+            f"  {status:4s} bit-identity/{backend}/n={graph.num_nodes}: distributed "
             f"{result.noisy_triangle_count} vs in-process "
             f"{reference.noisy_triangle_count}"
         )
@@ -79,12 +85,13 @@ def check_bit_identity(graph, rows: list, failures: list) -> None:
             {
                 "check": "bit_identity",
                 "backend": backend,
+                "num_nodes": graph.num_nodes,
                 "passed": identical,
                 "noisy_count": result.noisy_triangle_count,
             }
         )
         if not identical:
-            failures.append(f"bit_identity/{backend}")
+            failures.append(f"bit_identity/{backend}/n={graph.num_nodes}")
 
 
 def check_reconciliation(graph, rows: list, failures: list) -> None:
@@ -166,6 +173,10 @@ def main() -> int:
     rows: list = []
     failures: list = []
     check_bit_identity(graph, rows, failures)
+    check_bit_identity(
+        load_dataset("facebook", num_nodes=LIMB_NUM_NODES), rows, failures,
+        backends=LIMB_BACKENDS, block_size=128,
+    )
     check_reconciliation(graph, rows, failures)
     check_crash_resume(graph, rows, failures)
     atomic_write_json(

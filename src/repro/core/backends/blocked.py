@@ -25,7 +25,9 @@ view-security properties.  Tiles that are structurally zero (entirely on or
 below the diagonal, where the public strict-upper mask vanishes) are skipped
 outright; the decision depends only on public indices.
 
-The payoff: peak additional allocation per opening round is
+Each tile product costs two ring products per server
+(:func:`~repro.crypto.secure_ops.matrix_beaver_share`) plus the dealer's
+``Z = X @ Y``.  The payoff: peak additional allocation per opening round is
 ``O(block_size^2)`` instead of ``O(n^2)``, and the dealer streams one tile
 triple at a time instead of allocating a giant triple upfront, at the cost of
 more opening rounds (``O((n / block_size)^3)`` instead of two).  Choose

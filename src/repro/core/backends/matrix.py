@@ -17,9 +17,10 @@ because ``(C^T C)[j, k] = sum_i C[i, j] C[i, k]`` and the strict upper
 triangularity of ``C`` enforces ``i < j``.  The servers therefore
 
 1. locally mask their shares down to the strict upper triangle,
-2. compute shares of ``M = C^T C`` with one secret-shared matrix
-   multiplication (a matrix Beaver triple, one opening of two ``n x n``
-   matrices), and
+2. compute shares of the strict upper triangle of ``M = C^T C`` with one
+   secret-shared matrix multiplication (a matrix Beaver triple, one
+   opening of two ``n x n`` matrices; two ring products per server, which
+   skip the output blocks on and below the diagonal), and
 3. compute shares of the element-wise product ``C ⊙ M`` over the upper
    triangle with one element-wise Beaver triple, then locally sum.
 
@@ -162,11 +163,12 @@ class MatrixTriangleCounter(TriangleCounterBackend):
             # Step 1 — each server locally zeroes everything outside the
             # strict upper triangle.  The mask is public (it only depends on
             # indices), so this is a local linear operation on shares.
-            upper_mask = np.triu(np.ones((n, n), dtype=ring.dtype), k=1)
-            c1 = ring.mul(share1, upper_mask)
-            c2 = ring.mul(share2, upper_mask)
+            c1 = np.triu(share1, k=1)
+            c2 = np.triu(share2, k=1)
 
-            # Step 2 — shares of M = C^T @ C via one matrix Beaver triple.
+            # Step 2 — shares of the strict upper triangle of M = C^T @ C
+            # via one matrix Beaver triple; only that triangle enters the
+            # count, so the servers compute nothing below it.
             with tracer.span("offline"):
                 matrix_triple, elementwise_triple = self._dealt_triples(n)
             with tracer.span("online", opening_rounds=2):
@@ -174,15 +176,14 @@ class MatrixTriangleCounter(TriangleCounterBackend):
                 m1, m2 = secure_matrix_multiply(
                     (c1.T.copy(), c2.T.copy()), (c1, c2), matrix_triple,
                     ring=ring, views=self._views, matmul=matmul,
-                    authenticator=self._authenticator,
+                    authenticator=self._authenticator, strict_upper=True,
                 )
 
                 # Step 3 — shares of C ⊙ M over the upper triangle via one
                 # element-wise Beaver triple, then a local sum.
                 prod1, prod2 = secure_multiply_pair(
-                    (c1, c2), (ring.mul(m1, upper_mask), ring.mul(m2, upper_mask)),
-                    elementwise_triple, ring=ring, views=self._views,
-                    authenticator=self._authenticator,
+                    (c1, c2), (m1, m2), elementwise_triple, ring=ring,
+                    views=self._views, authenticator=self._authenticator,
                 )
                 total1 = ring.sum(prod1)
                 total2 = ring.sum(prod2)

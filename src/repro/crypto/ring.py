@@ -85,7 +85,24 @@ def _limb(x: np.ndarray, index: int) -> np.ndarray:
     return ((x >> np.uint64(LIMB_BITS * index)) & low).astype(np.float64)
 
 
-def _limb_matmul(a: np.ndarray, b: np.ndarray, num_limbs: int) -> np.ndarray:
+def keep_strict_upper(x: np.ndarray) -> np.ndarray:
+    """Zero every entry of *x* on or below the diagonal, in place; return *x*.
+
+    Bitwise ``x * mask`` for the public 0/1 strict-upper mask (``row < col``)
+    of the last two axes, without allocating an operand-sized mask: rows are
+    cleared in :data:`LIMB_STRIP`-high strips, and a strip only touches the
+    columns up to its last row.
+    """
+    rows = x.shape[-2]
+    for r0 in range(0, rows, LIMB_STRIP):
+        strip = x[..., r0:r0 + LIMB_STRIP, :r0 + LIMB_STRIP]
+        strip *= np.triu(np.ones(strip.shape[-2:], dtype=bool), k=r0 + 1)
+    return x
+
+
+def _limb_matmul(
+    a: np.ndarray, b: np.ndarray, num_limbs: int, strict_upper: bool = False
+) -> np.ndarray:
     """``a @ b mod 2^(22 * num_limbs)`` of uint64 matrices via float64 GEMMs.
 
     With ``a = sum_i a_i 2^(22i)`` and ``b = sum_j b_j 2^(22j)`` in 22-bit
@@ -97,6 +114,10 @@ def _limb_matmul(a: np.ndarray, b: np.ndarray, num_limbs: int) -> np.ndarray:
     uint64, whose wrap-around is reduction modulo ``2^64``.  A column strip
     of *b* keeps all its limbs; a row strip of *a* is split one limb at a
     time.
+
+    With *strict_upper* only output blocks that reach above the diagonal are
+    computed; the rest of the output stays zero, and the caller clears the
+    diagonal blocks.
     """
     rows, inner = a.shape
     cols = b.shape[1]
@@ -105,7 +126,10 @@ def _limb_matmul(a: np.ndarray, b: np.ndarray, num_limbs: int) -> np.ndarray:
         for k0 in range(0, inner, LIMB_INNER_CHUNK):
             b_block = b[k0:k0 + LIMB_INNER_CHUNK, c0:c0 + LIMB_STRIP]
             b_limbs = [_limb(b_block, j) for j in range(num_limbs)]
-            for r0 in range(0, rows, LIMB_STRIP):
+            # A row strip starting at or below the strip's last column lies
+            # wholly on or below the diagonal.
+            row_end = min(rows, min(c0 + LIMB_STRIP, cols) - 1) if strict_upper else rows
+            for r0 in range(0, row_end, LIMB_STRIP):
                 a_block = a[r0:r0 + LIMB_STRIP, k0:k0 + LIMB_INNER_CHUNK]
                 block = out[r0:r0 + LIMB_STRIP, c0:c0 + LIMB_STRIP]
                 for i in range(num_limbs):
@@ -253,6 +277,25 @@ class Ring:
         if self.bits < 64:
             product &= self.dtype.type(self.mask)
         return product
+
+    def matmul_strict_upper(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Strict upper triangle of :meth:`matmul`; zero on and below the diagonal.
+
+        Bitwise ``ring.mul(ring.matmul(a, b), mask)`` for the public 0/1
+        mask with ``mask[r, c] = r < c``.  On the limb path the
+        :data:`LIMB_STRIP`-square output blocks that lie wholly on or below
+        the diagonal are never computed (6 of 9 are kept at ``n = 768``);
+        below the crossover the full int64 product is masked.
+        """
+        a = np.asarray(a, dtype=self.dtype)
+        b = np.asarray(b, dtype=self.dtype)
+        if limb_matmul_applies(a.shape, b.shape):
+            product = _limb_matmul(a, b, -(-self.bits // LIMB_BITS), strict_upper=True)
+        else:
+            product = (a.view(np.int64) @ b.view(np.int64)).view(np.uint64)
+        if self.bits < 64:
+            product &= self.dtype.type(self.mask)
+        return keep_strict_upper(product)
 
     # ------------------------------------------------------------------ #
     # Sampling

@@ -15,6 +15,11 @@ simulation-security tests check.
   secret-shared matrices, the building block of the vectorised triangle
   counting backend.
 
+One server's side of the Beaver products — :func:`beaver_share`,
+:func:`matrix_beaver_differences` and :func:`matrix_beaver_share` — is
+written once here and shared by the in-process functions and the forked
+servers of :mod:`repro.runtime.server`.
+
 Every interactive function additionally accepts an optional *authenticator*
 (:class:`~repro.crypto.mac.OpeningAuthenticator`).  When present, the
 opening round — the only point where values cross the wire — is routed
@@ -32,7 +37,7 @@ import numpy as np
 
 from repro.crypto.beaver import BeaverTriplePair
 from repro.crypto.multiplication_groups import MultiplicationGroupPair
-from repro.crypto.ring import DEFAULT_RING, Ring
+from repro.crypto.ring import DEFAULT_RING, Ring, keep_strict_upper
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ProtocolError
 
@@ -97,18 +102,22 @@ def secure_multiply_pair(
     if views is not None:
         views.observe(1, "beaver_opening", (e, f))
         views.observe(2, "beaver_opening", (e, f))
-    share1 = ring.add(
-        ring.add(t1.z, ring.mul(e, t1.y)),
-        ring.mul(f, t1.x),
-    )
-    share2 = ring.add(
-        ring.add(
-            ring.add(t2.z, ring.mul(e, t2.y)),
-            ring.mul(f, t2.x),
-        ),
-        ring.mul(e, f),
-    )
-    return share1, share2
+    return beaver_share(1, e, f, t1, ring), beaver_share(2, e, f, t2, ring)
+
+
+def beaver_share(
+    role: int, e: IntOrArray, f: IntOrArray, half, ring: Ring = DEFAULT_RING
+) -> IntOrArray:
+    """Server *role*'s share of ``a * b`` from the openings and its triple half.
+
+    ``<z> + e <y> + f <x>``, plus the public ``e f`` on server 2.  This is
+    the one implementation of the combination: the in-process
+    :func:`secure_multiply_pair` and each forked server call it.
+    """
+    share = ring.add(ring.add(half.z, ring.mul(e, half.y)), ring.mul(f, half.x))
+    if role == 2:
+        share = ring.add(share, ring.mul(e, f))
+    return share
 
 
 def secure_multiply_triple(
@@ -205,51 +214,102 @@ def secure_matrix_multiply(
     views: Optional[ViewRecorder] = None,
     matmul=None,
     authenticator=None,
+    strict_upper: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Multiply two secret-shared matrices with a matrix Beaver triple.
 
     With a triple ``Z = X @ Y`` the servers open ``E = A - X`` and
     ``F = B - Y`` and compute shares of ``A @ B`` as
-    ``<Z> + E @ <Y> + <X> @ F + (i - 1) E @ F``.
+    ``<Z> + E @ <Y> + <X> @ F + (i - 1) E @ F`` (see
+    :func:`matrix_beaver_share`, which evaluates it in two ring products
+    per server).
 
     *matmul* optionally overrides how the servers evaluate their *local*
     matrix products (the parallel engine passes a row-striped pool matmul);
     it must be bit-identical to ``ring.matmul``, so the openings — the only
-    values that cross the wire — are unaffected.
+    values that cross the wire — are unaffected.  With *strict_upper* the
+    output shares are those of the strict upper triangle of ``A @ B`` (zero
+    on and below the diagonal).
     """
-    a1, a2 = (np.asarray(s, dtype=ring.dtype) for s in a_shares)
-    b1, b2 = (np.asarray(s, dtype=ring.dtype) for s in b_shares)
     t1, t2 = triple.server1, triple.server2
-    if np.shape(t1.x) != a1.shape or np.shape(t1.y) != b1.shape:
-        raise ProtocolError(
-            "matrix triple shape does not match the operands: "
-            f"triple {np.shape(t1.x)}@{np.shape(t1.y)}, operands {a1.shape}@{b1.shape}"
-        )
-    if matmul is None:
-        matmul = ring.matmul
+    e1, f1 = matrix_beaver_differences(1, a_shares[0], b_shares[0], t1, ring)
+    e2, f2 = matrix_beaver_differences(2, a_shares[1], b_shares[1], t2, ring)
     if authenticator is not None:
-        e, f = authenticator.exchange(
-            "matrix_beaver_opening",
-            [
-                (ring.sub(a1, t1.x), ring.sub(a2, t2.x)),
-                (ring.sub(b1, t1.y), ring.sub(b2, t2.y)),
-            ],
-        )
+        e, f = authenticator.exchange("matrix_beaver_opening", [(e1, e2), (f1, f2)])
     else:
-        e = ring.add(ring.sub(a1, t1.x), ring.sub(a2, t2.x))
-        f = ring.add(ring.sub(b1, t1.y), ring.sub(b2, t2.y))
+        e = ring.add(e1, e2)
+        f = ring.add(f1, f2)
+    del e1, f1, e2, f2  # four operand-sized arrays, dead before the products
     if views is not None:
         views.observe(1, "matrix_beaver_opening", (e, f))
         views.observe(2, "matrix_beaver_opening", (e, f))
-    share1 = ring.add(
-        ring.add(t1.z, matmul(e, np.asarray(t1.y, dtype=ring.dtype))),
-        matmul(np.asarray(t1.x, dtype=ring.dtype), f),
-    )
-    share2 = ring.add(
-        ring.add(
-            ring.add(t2.z, matmul(e, np.asarray(t2.y, dtype=ring.dtype))),
-            matmul(np.asarray(t2.x, dtype=ring.dtype), f),
-        ),
-        matmul(e, f),
-    )
+    # In-process triples may be shared with a triple store or a pool, so
+    # server 2 must not form <Y> + F in place (owned stays False).
+    share1 = matrix_beaver_share(1, e, f, t1, ring, matmul=matmul, strict_upper=strict_upper)
+    share2 = matrix_beaver_share(2, e, f, t2, ring, matmul=matmul, strict_upper=strict_upper)
     return share1, share2
+
+
+def matrix_beaver_differences(
+    role: int, a: np.ndarray, b: np.ndarray, half, ring: Ring = DEFAULT_RING
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Server *role*'s masked operands ``(A - <X>, B - <Y>)`` for the opening.
+
+    Raises :class:`~repro.exceptions.ProtocolError` when the server's own
+    triple half does not match the operand shapes, rather than letting a
+    mismatched half broadcast into wrongly shaped shares.
+    """
+    a = np.asarray(a, dtype=ring.dtype)
+    b = np.asarray(b, dtype=ring.dtype)
+    shapes = (np.shape(half.x), np.shape(half.y), np.shape(half.z))
+    if shapes != (a.shape, b.shape, a.shape[:-1] + b.shape[1:]):
+        raise ProtocolError(
+            f"server {role}'s matrix triple shape does not match the operands: "
+            f"triple {shapes[0]}@{shapes[1]}->{shapes[2]}, operands {a.shape}@{b.shape}"
+        )
+    return ring.sub(a, half.x), ring.sub(b, half.y)
+
+
+def matrix_beaver_share(
+    role: int,
+    e: np.ndarray,
+    f: np.ndarray,
+    half,
+    ring: Ring = DEFAULT_RING,
+    matmul=None,
+    strict_upper: bool = False,
+    owned: bool = False,
+) -> np.ndarray:
+    """Server *role*'s share of ``A @ B`` from the openings and its triple half.
+
+    Server 1 computes ``<Z> + E @ <Y> + <X> @ F``.  Server 2 folds the
+    public ``E @ F`` into its first product, ``<Z> + E @ (<Y> + F) + <X> @ F``,
+    which is exact in ``Z_{2^l}``: every server pays two ring products.
+    This is the one implementation of the combination: the in-process
+    :func:`secure_matrix_multiply` and each forked server call it.
+
+    *matmul* overrides ``ring.matmul`` (bit-identically).  With
+    *strict_upper* the share is bitwise the full share times the public
+    strict-upper mask; without a *matmul* override the products skip the
+    blocks that mask drops (:meth:`Ring.matmul_strict_upper`).  *owned*
+    says the caller owns ``half.y``, so server 2 may form ``<Y> + F`` in
+    place.
+    """
+    if matmul is None:
+        # An override computes full products; the final mask still applies.
+        matmul = ring.matmul_strict_upper if strict_upper else ring.matmul
+    x = np.asarray(half.x, dtype=ring.dtype)
+    y = np.asarray(half.y, dtype=ring.dtype)
+    if role == 2:
+        y = np.add(y, f, out=y if owned else None)
+        if ring.bits < 64:
+            y &= ring.dtype.type(ring.mask)
+    # Accumulate in place into the first (fresh) product; uint64 wraps
+    # modulo 2^64, so narrower rings reduce once at the end.
+    share = matmul(e, y)
+    del y  # server 2's <Y> + F is dead before the second product
+    share += matmul(x, f)
+    share += np.asarray(half.z, dtype=ring.dtype)
+    if ring.bits < 64:
+        share &= ring.dtype.type(ring.mask)
+    return keep_strict_upper(share) if strict_upper else share

@@ -13,10 +13,12 @@ Bit-exactness contract
 The count loops below mirror the *serial* paths of the in-process backends
 (:mod:`repro.core.backends.faithful` / ``matrix`` / ``blocked``) statement
 for statement: the same gather schedule, the same tile order, the same ring
-operations in the same order.  Because every ring operation is exact modulo
-``2^l``, the shares each server derives — and therefore every opened value
-that crosses the wire — are bit-identical to what the in-process engine
-opens for the same seed and configuration.
+operations in the same order.  The per-role Beaver combinations are the
+in-process ones (:func:`~repro.crypto.secure_ops.beaver_share`,
+:func:`~repro.crypto.secure_ops.matrix_beaver_share`).  Because every ring
+operation is exact modulo ``2^l``, the shares each server derives — and
+therefore every opened value that crosses the wire — are bit-identical to
+what the in-process engine opens for the same seed and configuration.
 
 Authenticated openings re-derive the in-process MAC scheme
 (:mod:`repro.crypto.mac`) in two-sided form: both servers derive the same
@@ -43,6 +45,7 @@ from repro.core.backends.faithful import _gather_schedule
 from repro.crypto.beaver import BeaverTriple
 from repro.crypto.mac import MacKey, _TAG_DOMAIN
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroup
+from repro.crypto.secure_ops import beaver_share, matrix_beaver_differences, matrix_beaver_share
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import CheaterDetectedError, ProtocolError, WireFormatError
 from repro.resilience.faults import FaultPlan, InjectedCrash, fault_point, install_fault_plan
@@ -231,10 +234,7 @@ def _multiply_pair(channel, role, ring, a, b, triple, views):
     )
     if views is not None:
         views.observe(role, "beaver_opening", (e, f))
-    share = ring.add(ring.add(triple.z, ring.mul(e, triple.y)), ring.mul(f, triple.x))
-    if role == 2:
-        share = ring.add(share, ring.mul(e, f))
-    return share
+    return beaver_share(role, e, f, triple, ring)
 
 
 def _multiply_triple(channel, role, ring, a, b, c, mg, views):
@@ -259,28 +259,20 @@ def _multiply_triple(channel, role, ring, a, b, c, mg, views):
     return result
 
 
-def _matrix_multiply(channel, role, ring, a, b, triple, views):
-    """This role's side of ``secure_matrix_multiply`` (matrix Beaver)."""
-    a = np.asarray(a, dtype=ring.dtype)
-    b = np.asarray(b, dtype=ring.dtype)
-    if np.shape(triple.x) != a.shape or np.shape(triple.y) != b.shape:
-        raise ProtocolError(
-            "matrix triple shape does not match the operands: "
-            f"triple {np.shape(triple.x)}@{np.shape(triple.y)}, "
-            f"operands {a.shape}@{b.shape}"
-        )
+def _matrix_multiply(channel, role, ring, a, b, triple, views, strict_upper=False):
+    """This role's side of ``secure_matrix_multiply`` (matrix Beaver).
+
+    The triple half arrived in this server's own PROVISION frame and is
+    used once, so server 2 forms ``<Y> + F`` in its buffer.
+    """
     e, f = channel.exchange(
-        "matrix_beaver_opening", [ring.sub(a, triple.x), ring.sub(b, triple.y)]
+        "matrix_beaver_opening", matrix_beaver_differences(role, a, b, triple, ring)
     )
     if views is not None:
         views.observe(role, "matrix_beaver_opening", (e, f))
-    share = ring.add(
-        ring.add(triple.z, ring.matmul(e, np.asarray(triple.y, dtype=ring.dtype))),
-        ring.matmul(np.asarray(triple.x, dtype=ring.dtype), f),
+    return matrix_beaver_share(
+        role, e, f, triple, ring, strict_upper=strict_upper, owned=True
     )
-    if role == 2:
-        share = ring.add(share, ring.matmul(e, f))
-    return share
 
 
 # ---------------------------------------------------------------------- #
@@ -357,16 +349,15 @@ def _count_matrix(dealer_ep, channel, ring, share, role, views, tracer):
         return 0, 0, 0
     num_triples = num_candidate_triples(n)
     with tracer.span("backend", backend="matrix", num_users=n, candidates=num_triples):
-        upper_mask = np.triu(np.ones((n, n), dtype=ring.dtype), k=1)
-        c = ring.mul(share, upper_mask)
+        c = np.triu(share, k=1)
         with tracer.span("offline"):
             matrix_triple = _recv_triple(dealer_ep, "matrix_triple")
             elementwise_triple = _recv_triple(dealer_ep, "vector_triple")
         with tracer.span("online", opening_rounds=2):
-            m = _matrix_multiply(channel, role, ring, c.T.copy(), c, matrix_triple, views)
-            prod = _multiply_pair(
-                channel, role, ring, c, ring.mul(m, upper_mask), elementwise_triple, views
+            m = _matrix_multiply(
+                channel, role, ring, c.T.copy(), c, matrix_triple, views, strict_upper=True
             )
+            prod = _multiply_pair(channel, role, ring, c, m, elementwise_triple, views)
             total = ring.sum(prod)
     return int(total), num_triples, 2
 

@@ -12,6 +12,7 @@ from repro.crypto.ring import (
     LIMB_MATMUL_CROSSOVER,
     LIMB_STRIP,
     Ring,
+    keep_strict_upper,
     limb_matmul_applies,
 )
 from repro.exceptions import ConfigurationError
@@ -173,6 +174,43 @@ class TestLimbMatmul:
         """Chunking the inner dimension makes the limb path exact for every k."""
         wide = 1 << 22
         assert limb_matmul_applies((256, wide), (wide, 256))
+
+
+class TestStrictUpperMatmul:
+    """``matmul_strict_upper`` is bitwise the masked full product."""
+
+    @pytest.mark.parametrize("bits", [16, 63, 64])
+    # Both sides of the crossover and of every strip boundary, up to the
+    # matrix backend's n = 768 (3 x 3 strips, 6 kept).
+    @pytest.mark.parametrize("n", [64, 128, 255, 256, 257, 300, 513, 768])
+    def test_matches_masked_full_product(self, bits, n):
+        ring = Ring(bits=bits)
+        rng = np.random.default_rng(n + bits)
+        a = _full_range((n, n), rng)
+        b = _full_range((n, n), rng)
+        mask = np.triu(np.ones((n, n), dtype=np.uint64), k=1)
+        product = ring.matmul_strict_upper(a, b)
+        assert product.dtype == np.uint64
+        assert np.array_equal(product, ring.mul(ring.matmul(a, b), mask))
+
+    @pytest.mark.parametrize(
+        "m,k,n",
+        [(300, 513, 257), (257, 200, 600), (600, 130, 257), (LIMB_STRIP + 1, 128, 128)],
+    )
+    def test_rectangular_products(self, m, k, n):
+        rng = np.random.default_rng(m + k + n)
+        a = _full_range((m, k), rng)
+        b = _full_range((k, n), rng)
+        mask = np.triu(np.ones((m, n), dtype=np.uint64), k=1)
+        expected = DEFAULT_RING.mul(DEFAULT_RING.matmul(a, b), mask)
+        assert np.array_equal(DEFAULT_RING.matmul_strict_upper(a, b), expected)
+
+    def test_keep_strict_upper_is_in_place_mask(self):
+        rng = np.random.default_rng(5)
+        x = _full_range((2 * LIMB_STRIP + 3, 3 * LIMB_STRIP), rng)
+        expected = np.triu(x, k=1)
+        assert keep_strict_upper(x) is x
+        assert np.array_equal(x, expected)
 
 
 class TestSampling:

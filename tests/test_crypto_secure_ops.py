@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.crypto.beaver import BeaverTripleDealer
+from repro.crypto.beaver import BeaverTriple, BeaverTripleDealer, BeaverTriplePair
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.secure_ops import (
+    matrix_beaver_share,
     secure_add,
     secure_matrix_multiply,
     secure_multiply_pair,
@@ -161,3 +162,99 @@ class TestSecureMatrixMultiply:
         cube = secure_matrix_multiply(square, shares, triple2)
         total = reconstruct_vector(cube[0], cube[1])
         assert int(np.trace(total.astype(np.int64))) == 6 * count_triangles(graph)
+
+
+def _three_product_shares(ring, a_shares, b_shares, triple):
+    """Reference shares: ``<Z> + E @ <Y> + <X> @ F`` plus ``E @ F`` on server 2."""
+    t1, t2 = triple.server1, triple.server2
+    e = ring.add(ring.sub(a_shares[0], t1.x), ring.sub(a_shares[1], t2.x))
+    f = ring.add(ring.sub(b_shares[0], t1.y), ring.sub(b_shares[1], t2.y))
+    share1 = ring.add(ring.add(t1.z, ring.matmul(e, t1.y)), ring.matmul(t1.x, f))
+    share2 = ring.add(ring.add(t2.z, ring.matmul(e, t2.y)), ring.matmul(t2.x, f))
+    return share1, ring.add(share2, ring.matmul(e, f)), e, f
+
+
+class TestMatrixBeaverCombination:
+    """The two-product combination is bitwise the three-product one, per share."""
+
+    # 40: int64 path; 300: limb path with a partial strip.
+    @pytest.mark.parametrize("n", [40, 300])
+    @pytest.mark.parametrize("bits", [16, 63, 64])
+    def test_folded_shares_match_three_product_reference(self, n, bits):
+        ring = Ring(bits=bits)
+        dealer = BeaverTripleDealer(ring=ring, seed=n + bits)
+        rng = np.random.default_rng(bits)
+        a_shares = (ring.random_array((n, n), rng), ring.random_array((n, n), rng))
+        b_shares = (ring.random_array((n, n), rng), ring.random_array((n, n), rng))
+        triple = dealer.matrix_triple((n, n), (n, n))
+        ref1, ref2, _, _ = _three_product_shares(ring, a_shares, b_shares, triple)
+        s1, s2 = secure_matrix_multiply(a_shares, b_shares, triple, ring=ring)
+        assert np.array_equal(s1, ref1)
+        assert np.array_equal(s2, ref2)
+        mask = np.triu(np.ones((n, n), dtype=np.uint64), k=1)
+        u1, u2 = secure_matrix_multiply(
+            a_shares, b_shares, triple, ring=ring, strict_upper=True
+        )
+        assert np.array_equal(u1, ring.mul(ref1, mask))
+        assert np.array_equal(u2, ring.mul(ref2, mask))
+
+    def test_pool_matmul_strict_upper_matches(self):
+        ring = DEFAULT_RING
+        dealer = BeaverTripleDealer(seed=3)
+        rng = np.random.default_rng(4)
+        shares = (ring.random_array((200, 200), rng), ring.random_array((200, 200), rng))
+        triple = dealer.matrix_triple((200, 200), (200, 200))
+        serial = secure_matrix_multiply(shares, shares, triple, strict_upper=True)
+        striped = secure_matrix_multiply(
+            shares, shares, triple, strict_upper=True,
+            matmul=lambda a, b: np.concatenate(
+                [ring.matmul(a[:70], b), ring.matmul(a[70:], b)]
+            ),
+        )
+        assert np.array_equal(serial[0], striped[0])
+        assert np.array_equal(serial[1], striped[1])
+
+    def test_in_process_triple_is_not_mutated(self):
+        dealer = BeaverTripleDealer(seed=5)
+        rng = np.random.default_rng(6)
+        shares = tuple(DEFAULT_RING.random_array((130, 130), rng) for _ in range(2))
+        triple = dealer.matrix_triple((130, 130), (130, 130))
+        before = [h.copy() for t in (triple.server1, triple.server2) for h in (t.x, t.y, t.z)]
+        secure_matrix_multiply(shares, shares, triple)
+        after = [h for t in (triple.server1, triple.server2) for h in (t.x, t.y, t.z)]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+    def test_owned_half_forms_y_plus_f_in_place(self):
+        ring = DEFAULT_RING
+        dealer = BeaverTripleDealer(seed=7)
+        rng = np.random.default_rng(8)
+        a_shares = (ring.random_array((50, 60), rng), ring.random_array((50, 60), rng))
+        b_shares = (ring.random_array((60, 70), rng), ring.random_array((60, 70), rng))
+        triple = dealer.matrix_triple((50, 60), (60, 70))
+        _, ref2, e, f = _three_product_shares(ring, a_shares, b_shares, triple)
+        half = triple.server2
+        y_plus_f = ring.add(half.y, f)
+        owned = BeaverTriple(x=half.x.copy(), y=half.y.copy(), z=half.z.copy())
+        share = matrix_beaver_share(2, e, f, owned, ring, owned=True)
+        assert np.array_equal(share, ref2)
+        assert np.array_equal(owned.y, y_plus_f)
+
+
+class TestMatrixTripleShapeChecks:
+    """Each server checks its own triple half; none broadcasts silently."""
+
+    @pytest.mark.parametrize("server", [1, 2])
+    @pytest.mark.parametrize("field", ["x", "y", "z"])
+    def test_row_shaped_half_rejected(self, server, field):
+        n = 6
+        dealer = BeaverTripleDealer(seed=9)
+        a_pair = share_vector(np.ones((n, n), dtype=np.int64), rng=10)
+        shares = (a_pair.share1, a_pair.share2)
+        triple = dealer.matrix_triple((n, n), (n, n))
+        halves = {1: triple.server1, 2: triple.server2}
+        fields = dict(x=halves[server].x, y=halves[server].y, z=halves[server].z)
+        fields[field] = fields[field][:1]  # shape (1, n): would broadcast
+        halves[server] = BeaverTriple(**fields)
+        broken = BeaverTriplePair(server1=halves[1], server2=halves[2])
+        with pytest.raises(ProtocolError, match=f"server {server}'s matrix triple"):
+            secure_matrix_multiply(shares, shares, broken)

@@ -30,6 +30,9 @@ BACKENDS = ("faithful", "batched", "matrix", "blocked")
 
 #: Small enough that the faithful backend's O(n^3) rounds stay quick.
 N_SMALL = 24
+#: Large enough that the servers' ring products take the limb path (and the
+#: matrix backend's strict-upper product skips a block), with a partial strip.
+N_LIMB = 300
 
 
 def make_config(backend="matrix", distributed=False, **overrides):
@@ -105,6 +108,59 @@ class TestBitIdentity:
         baseline = Cargo(make_config("blocked")).run(graph)
         result = run_distributed(graph, make_config("blocked", distributed=True))
         assert result.telemetry is None and baseline.telemetry is None
+
+
+def _record_count_results(monkeypatch):
+    """Capture each release's ``CountResult`` from both orchestrators."""
+    import repro.core.cargo as cargo_module
+    import repro.runtime.driver as driver_module
+
+    captured = []
+    original = cargo_module.feed_run_telemetry
+
+    def recording(*args, **kwargs):
+        captured.append(kwargs["count_result"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cargo_module, "feed_run_telemetry", recording)
+    monkeypatch.setattr(driver_module, "feed_run_telemetry", recording)
+    return captured
+
+
+class TestBitIdentityAtLimbSize:
+    """Cross-process bit-identity where the ring products run on limbs."""
+
+    @pytest.mark.parametrize("backend", ("matrix", "blocked"))
+    def test_release_shares_and_views_identical(self, backend, monkeypatch):
+        graph = load_dataset("facebook", num_nodes=N_LIMB)
+        counts = _record_count_results(monkeypatch)
+        overrides = dict(block_size=128, record_views=True)
+        local_cargo = Cargo(make_config(backend, **overrides))
+        baseline = local_cargo.run(graph)
+        remote_views = ViewRecorder()
+        result = run_distributed(
+            graph, make_config(backend, distributed=True, **overrides), views=remote_views
+        )
+        assert result.noisy_triangle_count == baseline.noisy_triangle_count
+        assert result.projected_triangle_count == baseline.projected_triangle_count
+        assert result.noisy_max_degree == baseline.noisy_max_degree
+        assert result.communication_phases == baseline.communication_phases
+        local_count, remote_count = counts
+        assert (remote_count.share1, remote_count.share2) == (
+            local_count.share1,
+            local_count.share2,
+        )
+        assert remote_count.opening_rounds == local_count.opening_rounds
+        for server_index in (1, 2):
+            local_values = local_cargo.views.view(server_index).values()
+            remote_values = remote_views.view(server_index).values()
+            assert len(local_values) == len(remote_values) > 0
+            for mine, theirs in zip(local_values, remote_values):
+                # One opening's values; the blocked backend's edge tiles
+                # open differently shaped matrices in one round.
+                assert len(mine) == len(theirs)
+                for opened_here, opened_there in zip(mine, theirs):
+                    assert np.array_equal(np.asarray(opened_here), np.asarray(opened_there))
 
 
 class TestTransport:
