@@ -3,8 +3,9 @@
 Sweeps the user count ``n`` and records, per backend, the secure-count
 runtime plus the dealer-side accounting that explains it:
 
-* ``matrix`` vs ``blocked`` — the monolithic matrix backend pays ``3 n^2``
-  ring elements for its one giant Beaver triple; the blocked backend never
+* ``matrix`` vs ``blocked`` — the monolithic matrix backend pays
+  ``3 n(n-1)/2`` ring elements for its one triangular Beaver triple (three
+  packed strict-upper vectors); the blocked backend never
   exceeds ``3 block_size^2`` regardless of ``n``, which is what lets it keep
   scaling after the monolithic triple stops fitting.
 * ``batched`` (and, at small ``n``, ``faithful``) — the loop-free online
@@ -63,14 +64,15 @@ SPARSE_STAR_K = 3
 def _backend_builders(num_users: int, block_size: int, workers: int = 0):
     """Name -> (dealer, counter) builders applicable at this n.
 
-    *workers* > 0 builds every counter in tile-parallel engine mode
-    (``REPRO_BENCH_WORKERS`` from the CLI); outputs and opening schedules
-    are bit-identical either way, so the sweep stays comparable.
+    *workers* > 0 builds every counter but ``matrix`` (which has no worker
+    knob) in tile-parallel engine mode (``REPRO_BENCH_WORKERS`` from the
+    CLI); outputs and opening schedules are bit-identical either way, so
+    the sweep stays comparable.
     """
     builders = {
         "matrix": lambda: _with_dealer(
             BeaverTripleDealer(seed=0),
-            lambda dealer: MatrixTriangleCounter(dealer=dealer, workers=workers),
+            lambda dealer: MatrixTriangleCounter(dealer=dealer),
         ),
         "blocked": lambda: _with_dealer(
             BeaverTripleDealer(seed=0),

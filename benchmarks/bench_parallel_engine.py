@@ -49,7 +49,9 @@ def _build(backend: str, workers: int, block_size: int, store=None):
         return BlockedMatrixTriangleCounter(
             dealer=dealer, block_size=block_size, workers=workers, triple_store=store
         )
-    return MatrixTriangleCounter(dealer=dealer, workers=workers, triple_store=store)
+    # The matrix backend has no worker knob (one triangular product on one
+    # thread beats row strips of a dense one); its rows are the reference.
+    return MatrixTriangleCounter(dealer=dealer, triple_store=store)
 
 
 def run_parallel_engine(

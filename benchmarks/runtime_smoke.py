@@ -14,6 +14,13 @@ trustworthy as a drop-in engine:
   records is accounted for by payload bytes physically written to a socket)
   held, and the reported transport section is internally consistent
   (``wire = payload + overhead``, all process timings present).
+* **Packed matrix triples** — at ``LIMB_NUM_NODES`` users the matrix
+  backend's dealt and opened payload per frame kind is exactly the packed
+  strict-upper size (``N = n(n-1)/2``): ``PROVISION = 96 N`` bytes (two
+  triples of three ``N``-vectors per server) and
+  ``OPEN_VALUES = OPEN_MAC = 64 N + 16`` bytes (two rounds of two
+  ``N``-vectors plus the release value, per server).  Dense triples would
+  double both.
 * **Crash + resume** — an injected mid-round server crash surfaces as a
   typed :class:`~repro.exceptions.RuntimeProcessError`, leaves a usable
   checkpoint behind, and a fresh runtime resumes to a release bit-identical
@@ -107,6 +114,7 @@ def check_reconciliation(graph, rows: list, failures: list) -> None:
         and transport["wire_bytes"]
         == transport["payload_bytes"] + transport["overhead_bytes"]
         and transport["unledgered_payload_bytes"] >= 0
+        and sum(transport["payload_bytes_by_kind"].values()) == transport["payload_bytes"]
         and all(
             transport["processes"].get(name, -1.0) >= 0.0
             for name in ("driver", "server1", "server2", "dealer")
@@ -123,6 +131,27 @@ def check_reconciliation(graph, rows: list, failures: list) -> None:
     )
     if not coherent:
         failures.append("reconciliation")
+
+
+def check_packed_payload(graph, rows: list, failures: list) -> None:
+    size = graph.num_nodes * (graph.num_nodes - 1) // 2
+    expected = {"PROVISION": 96 * size, "OPEN_VALUES": 64 * size + 16, "OPEN_MAC": 64 * size + 16}
+    result = run_distributed(graph, _config("matrix", True, telemetry=Telemetry()))
+    by_kind = result.telemetry["transport"]["payload_bytes_by_kind"]
+    measured = {kind: by_kind.get(kind, 0) for kind in expected}
+    passed = measured == expected
+    status = "ok" if passed else "FAIL"
+    print(f"  {status:4s} packed-payload/matrix/n={graph.num_nodes}: {measured} vs {expected}")
+    rows.append(
+        {
+            "check": "packed_payload",
+            "num_nodes": graph.num_nodes,
+            "passed": passed,
+            "payload_bytes_by_kind": by_kind,
+        }
+    )
+    if not passed:
+        failures.append(f"packed_payload/matrix/n={graph.num_nodes}")
 
 
 def check_crash_resume(graph, rows: list, failures: list) -> None:
@@ -173,10 +202,11 @@ def main() -> int:
     rows: list = []
     failures: list = []
     check_bit_identity(graph, rows, failures)
+    limb_graph = load_dataset("facebook", num_nodes=LIMB_NUM_NODES)
     check_bit_identity(
-        load_dataset("facebook", num_nodes=LIMB_NUM_NODES), rows, failures,
-        backends=LIMB_BACKENDS, block_size=128,
+        limb_graph, rows, failures, backends=LIMB_BACKENDS, block_size=128,
     )
+    check_packed_payload(limb_graph, rows, failures)
     check_reconciliation(graph, rows, failures)
     check_crash_resume(graph, rows, failures)
     atomic_write_json(

@@ -16,19 +16,21 @@ reads).  Then
 because ``(C^T C)[j, k] = sum_i C[i, j] C[i, k]`` and the strict upper
 triangularity of ``C`` enforces ``i < j``.  The servers therefore
 
-1. locally mask their shares down to the strict upper triangle,
-2. compute shares of the strict upper triangle of ``M = C^T C`` with one
-   secret-shared matrix multiplication (a matrix Beaver triple, one
-   opening of two ``n x n`` matrices; two ring products per server, which
-   skip the output blocks on and below the diagonal), and
-3. compute shares of the element-wise product ``C ⊙ M`` over the upper
+1. locally pack their shares of the strict upper triangle into
+   ``N = n(n-1)/2``-vectors (everything else is publicly zero),
+2. compute packed shares of the strict upper triangle of ``M = C^T C``
+   with one triangular matrix Beaver triple (one opening of two
+   ``N``-vectors; two lower-times-upper ring products per server, see
+   :func:`~repro.crypto.secure_ops.secure_triangular_gram`), and
+3. compute shares of the element-wise product ``C ⊙ M`` over the packed
    triangle with one element-wise Beaver triple, then locally sum.
 
 The three bits entering each product and the final count are identical to
 the faithful protocol's; only the grouping of the openings differs, so the
 backend is a drop-in replacement for `Count` in experiments at realistic
 graph sizes.  Its weakness is memory: the monolithic matrix triple holds
-several ``n x n`` arrays at once, which is what the ``blocked`` backend
+several ``N``-vectors and, while multiplying, ``n x n`` arrays at once,
+which is what the ``blocked`` backend
 (:mod:`repro.core.backends.blocked`) fixes.
 """
 
@@ -41,12 +43,21 @@ import numpy as np
 from repro.core.backends.base import CountResult, TriangleCounterBackend, num_candidate_triples
 from repro.core.backends.registry import register_backend
 from repro.crypto.beaver import BeaverTripleDealer
-from repro.crypto.ring import DEFAULT_RING, Ring
-from repro.crypto.secure_ops import secure_matrix_multiply, secure_multiply_pair
+from repro.crypto.ring import DEFAULT_RING, Ring, pack_strict_upper
+from repro.crypto.secure_ops import secure_multiply_pair, secure_triangular_gram
 from repro.crypto.views import ViewRecorder
-from repro.parallel import TripleSignature, WorkerPool, resolve_workers
+from repro.parallel import TripleSignature
 from repro.telemetry import resolve_telemetry
 from repro.utils.rng import RandomState
+
+
+def deal_triangular_triples(dealer: BeaverTripleDealer, n: int):
+    """One count's triangular matrix triple and packed element-wise triple.
+
+    The distributed dealer process deals through this too, so in-process
+    and distributed runs draw the same material in the same order.
+    """
+    return dealer.triangular_triple(n), dealer.vector_triple((n * (n - 1) // 2,))
 
 
 @register_backend("matrix")
@@ -62,15 +73,9 @@ class MatrixTriangleCounter(TriangleCounterBackend):
         fresh one is created when not supplied.
     views:
         Optional view recorder for the security tests.
-    workers:
-        ``0`` keeps the serial path; ``>= 1`` computes the local ``n x n``
-        matrix products (the dealer's ``Z = X @ Y`` and the servers' online
-        combination) in parallel row strips.  Row striping is bit-identical
-        to the serial product, so the transcript never depends on the worker
-        count — for this backend it is identical to the legacy path too.
     triple_store:
         Optional :class:`~repro.parallel.store.TripleStore` memoising the
-        monolithic matrix and element-wise triples (engine path only).
+        triangular matrix and element-wise triples.
     """
 
     def __init__(
@@ -78,7 +83,6 @@ class MatrixTriangleCounter(TriangleCounterBackend):
         ring: Ring = DEFAULT_RING,
         dealer: Optional[BeaverTripleDealer] = None,
         views: Optional[ViewRecorder] = None,
-        workers: int = 0,
         triple_store=None,
         telemetry=None,
         authenticator=None,
@@ -87,12 +91,7 @@ class MatrixTriangleCounter(TriangleCounterBackend):
             ring=ring, views=views, telemetry=telemetry, authenticator=authenticator
         )
         self._dealer = dealer if dealer is not None else BeaverTripleDealer(ring=ring)
-        self._workers = int(workers)
         self._store = triple_store
-        self._pool = WorkerPool(self._workers) if self._workers else None
-        if self._pool is not None and self._dealer.matmul is None:
-            # Parallelise the dealer's Z = X @ Y (bit-identical row strips).
-            self._dealer.matmul = self._pool.ring_matmul(ring)
 
     @classmethod
     def from_config(
@@ -107,7 +106,6 @@ class MatrixTriangleCounter(TriangleCounterBackend):
             ring=config.ring,
             dealer=dealer,
             views=views,
-            workers=resolve_workers(config),
             triple_store=getattr(config, "triple_store", None),
             telemetry=resolve_telemetry(config),
             authenticator=authenticator,
@@ -116,12 +114,12 @@ class MatrixTriangleCounter(TriangleCounterBackend):
     def _dealt_triples(self, n: int):
         """The run's two triples: via the triple store when one is configured."""
         if self._store is None:
-            return self._dealer.matrix_triple((n, n), (n, n)), self._dealer.vector_triple((n, n))
+            return deal_triangular_triples(self._dealer, n)
         signature = TripleSignature(
             statistic="triangles",
             backend="matrix",
             num_users=n,
-            geometry=(("layout", "monolithic"),),
+            geometry=(("layout", "triangular"),),
             ring_bits=self._ring.bits,
             dealer_key=self._dealer.fingerprint(),
         )
@@ -130,8 +128,7 @@ class MatrixTriangleCounter(TriangleCounterBackend):
             self._dealer.absorb_accounting(*stored["accounting"])
             return stored["matrix"], stored["elementwise"]
         before = self._dealer.accounting()
-        matrix_triple = self._dealer.matrix_triple((n, n), (n, n))
-        elementwise_triple = self._dealer.vector_triple((n, n))
+        matrix_triple, elementwise_triple = deal_triangular_triples(self._dealer, n)
         after = self._dealer.accounting()
         self._store.put(
             signature,
@@ -160,26 +157,24 @@ class MatrixTriangleCounter(TriangleCounterBackend):
         with tracer.span(
             "backend", backend="matrix", num_users=n, candidates=num_triples
         ):
-            # Step 1 — each server locally zeroes everything outside the
-            # strict upper triangle.  The mask is public (it only depends on
-            # indices), so this is a local linear operation on shares.
-            c1 = np.triu(share1, k=1)
-            c2 = np.triu(share2, k=1)
+            # Step 1 — each server locally packs the strict upper triangle.
+            # The positions are public (they only depend on indices), and
+            # every entry outside them is zero in C.
+            c1 = pack_strict_upper(share1)
+            c2 = pack_strict_upper(share2)
 
-            # Step 2 — shares of the strict upper triangle of M = C^T @ C
-            # via one matrix Beaver triple; only that triangle enters the
-            # count, so the servers compute nothing below it.
+            # Step 2 — packed shares of the strict upper triangle of
+            # M = C^T @ C via one triangular matrix Beaver triple; only that
+            # triangle enters the count.
             with tracer.span("offline"):
                 matrix_triple, elementwise_triple = self._dealt_triples(n)
             with tracer.span("online", opening_rounds=2):
-                matmul = self._pool.ring_matmul(ring) if self._pool is not None else None
-                m1, m2 = secure_matrix_multiply(
-                    (c1.T.copy(), c2.T.copy()), (c1, c2), matrix_triple,
-                    ring=ring, views=self._views, matmul=matmul,
-                    authenticator=self._authenticator, strict_upper=True,
+                m1, m2 = secure_triangular_gram(
+                    (c1, c2), n, matrix_triple, ring=ring, views=self._views,
+                    authenticator=self._authenticator,
                 )
 
-                # Step 3 — shares of C ⊙ M over the upper triangle via one
+                # Step 3 — shares of C ⊙ M over the packed triangle via one
                 # element-wise Beaver triple, then a local sum.
                 prod1, prod2 = secure_multiply_pair(
                     (c1, c2), (m1, m2), elementwise_triple, ring=ring,

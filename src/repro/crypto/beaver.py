@@ -25,7 +25,7 @@ from typing import Iterator, Tuple, Union
 
 import numpy as np
 
-from repro.crypto.ring import DEFAULT_RING, Ring
+from repro.crypto.ring import DEFAULT_RING, Ring, pack_strict_upper, unpack_strict_upper
 from repro.crypto.sharing import SharePair, share_scalar, share_vector
 from repro.exceptions import DealerError
 from repro.resilience.faults import fault_point
@@ -210,6 +210,18 @@ class BeaverTripleDealer:
             for rng in spawn_rngs(self._rng, count)
         ]
 
+    def _share_triple(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> BeaverTriplePair:
+        """Share freshly drawn triple arrays between the servers and book the issue."""
+        x_pair, y_pair, z_pair = (
+            share_vector(part, ring=self._ring, rng=self._rng) for part in (x, y, z)
+        )
+        self._record_issue(x, y, z)
+        return BeaverTriplePair(
+            server1=BeaverTriple(x=x_pair.share1, y=y_pair.share1, z=z_pair.share1),
+            server2=BeaverTriple(x=x_pair.share2, y=y_pair.share2, z=z_pair.share2),
+            ring=self._ring,
+        )
+
     def scalar_triple(self) -> BeaverTriplePair:
         """Sample one scalar triple and share it between the two servers."""
         ring = self._ring
@@ -345,15 +357,7 @@ class BeaverTripleDealer:
         x = ring.random_array(shape, self._rng)
         y = ring.random_array(shape, self._rng)
         z = ring.mul(x, y)
-        x_pair = share_vector(x, ring=ring, rng=self._rng)
-        y_pair = share_vector(y, ring=ring, rng=self._rng)
-        z_pair = share_vector(z, ring=ring, rng=self._rng)
-        self._record_issue(x, y, z)
-        return BeaverTriplePair(
-            server1=BeaverTriple(x=x_pair.share1, y=y_pair.share1, z=z_pair.share1),
-            server2=BeaverTriple(x=x_pair.share2, y=y_pair.share2, z=z_pair.share2),
-            ring=ring,
-        )
+        return self._share_triple(x, y, z)
 
     def matrix_triple(self, left_shape: Tuple[int, int], right_shape: Tuple[int, int]) -> BeaverTriplePair:
         """Sample a *matrix* triple ``Z = X @ Y`` for secure matrix products.
@@ -388,15 +392,31 @@ class BeaverTripleDealer:
         # matmul hook; the masks themselves always come from this dealer's
         # stream, so the dealt bytes are hook-independent.
         z = (self.matmul or ring.matmul)(x, y)
-        x_pair = share_vector(x, ring=ring, rng=self._rng)
-        y_pair = share_vector(y, ring=ring, rng=self._rng)
-        z_pair = share_vector(z, ring=ring, rng=self._rng)
-        self._record_issue(x, y, z)
-        return BeaverTriplePair(
-            server1=BeaverTriple(x=x_pair.share1, y=y_pair.share1, z=z_pair.share1),
-            server2=BeaverTriple(x=x_pair.share2, y=y_pair.share2, z=z_pair.share2),
-            ring=ring,
+        return self._share_triple(x, y, z)
+
+    def triangular_triple(self, n: int) -> BeaverTriplePair:
+        """A matrix triple over the strict upper triangle of ``n x n`` matrices.
+
+        ``x`` and ``y`` are uniform over the ``N = n(n-1)/2`` positions above
+        the diagonal, dealt as packed ``N``-vectors
+        (:func:`~repro.crypto.ring.pack_strict_upper` order); ``z`` is the
+        packed strict upper triangle of ``X^T @ Y`` for the unpacked ``X``
+        and ``Y``.  It masks the ``C^T @ C`` product of a strictly
+        upper-triangular ``C`` (:func:`~repro.crypto.secure_ops.secure_triangular_gram`),
+        whose every other entry is publicly zero, at half the size of a
+        dense :meth:`matrix_triple`.
+        """
+        if n < 2:
+            raise DealerError(f"a triangular triple needs n >= 2, got {n}")
+        fault_point("dealer.provision")
+        ring = self._ring
+        size = n * (n - 1) // 2
+        x = ring.random_array((size,), self._rng)
+        y = ring.random_array((size,), self._rng)
+        z = pack_strict_upper(
+            ring.matmul_lower_upper(unpack_strict_upper(x, n).T, unpack_strict_upper(y, n))
         )
+        return self._share_triple(x, y, z)
 
     def scalar_triples(self, count: int) -> Iterator[BeaverTriplePair]:
         """Yield *count* scalar triples (used to pre-provision a protocol run)."""

@@ -12,13 +12,17 @@ simulation-security tests check.
 * :func:`secure_multiply_triple` — the paper's three-way multiplication
   (Theorem 1), consuming one multiplication group,
 * :func:`secure_matrix_multiply` — matrix-Beaver multiplication of two
-  secret-shared matrices, the building block of the vectorised triangle
-  counting backend.
+  secret-shared matrices, the building block of the blocked backend and
+  the 4-cycle statistic,
+* :func:`secure_triangular_gram` — the strict upper triangle of ``C^T C``
+  for a strictly upper-triangular ``C``, dealt and opened as packed
+  vectors: the matrix backend's triangle count.
 
 One server's side of the Beaver products — :func:`beaver_share`,
-:func:`matrix_beaver_differences` and :func:`matrix_beaver_share` — is
-written once here and shared by the in-process functions and the forked
-servers of :mod:`repro.runtime.server`.
+:func:`matrix_beaver_differences`, :func:`matrix_beaver_share`,
+:func:`triangular_beaver_differences` and :func:`triangular_beaver_share`
+— is written once here and shared by the in-process functions and the
+forked servers of :mod:`repro.runtime.server`.
 
 Every interactive function additionally accepts an optional *authenticator*
 (:class:`~repro.crypto.mac.OpeningAuthenticator`).  When present, the
@@ -37,7 +41,7 @@ import numpy as np
 
 from repro.crypto.beaver import BeaverTriplePair
 from repro.crypto.multiplication_groups import MultiplicationGroupPair
-from repro.crypto.ring import DEFAULT_RING, Ring, keep_strict_upper
+from repro.crypto.ring import DEFAULT_RING, Ring, pack_strict_upper, unpack_strict_upper
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ProtocolError
 
@@ -214,7 +218,6 @@ def secure_matrix_multiply(
     views: Optional[ViewRecorder] = None,
     matmul=None,
     authenticator=None,
-    strict_upper: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Multiply two secret-shared matrices with a matrix Beaver triple.
 
@@ -227,27 +230,31 @@ def secure_matrix_multiply(
     *matmul* optionally overrides how the servers evaluate their *local*
     matrix products (the parallel engine passes a row-striped pool matmul);
     it must be bit-identical to ``ring.matmul``, so the openings — the only
-    values that cross the wire — are unaffected.  With *strict_upper* the
-    output shares are those of the strict upper triangle of ``A @ B`` (zero
-    on and below the diagonal).
+    values that cross the wire — are unaffected.
     """
     t1, t2 = triple.server1, triple.server2
     e1, f1 = matrix_beaver_differences(1, a_shares[0], b_shares[0], t1, ring)
     e2, f2 = matrix_beaver_differences(2, a_shares[1], b_shares[1], t2, ring)
+    e, f = _open_pair(e1, f1, e2, f2, ring, views, authenticator)
+    del e1, f1, e2, f2  # four operand-sized arrays, dead before the products
+    # In-process triples may be shared with a triple store or a pool, so
+    # server 2 must not form <Y> + F in place (owned stays False).
+    share1 = matrix_beaver_share(1, e, f, t1, ring, matmul=matmul)
+    share2 = matrix_beaver_share(2, e, f, t2, ring, matmul=matmul)
+    return share1, share2
+
+
+def _open_pair(e1, f1, e2, f2, ring, views, authenticator):
+    """The in-process ``matrix_beaver_opening`` round: both servers learn ``e, f``."""
     if authenticator is not None:
         e, f = authenticator.exchange("matrix_beaver_opening", [(e1, e2), (f1, f2)])
     else:
         e = ring.add(e1, e2)
         f = ring.add(f1, f2)
-    del e1, f1, e2, f2  # four operand-sized arrays, dead before the products
     if views is not None:
         views.observe(1, "matrix_beaver_opening", (e, f))
         views.observe(2, "matrix_beaver_opening", (e, f))
-    # In-process triples may be shared with a triple store or a pool, so
-    # server 2 must not form <Y> + F in place (owned stays False).
-    share1 = matrix_beaver_share(1, e, f, t1, ring, matmul=matmul, strict_upper=strict_upper)
-    share2 = matrix_beaver_share(2, e, f, t2, ring, matmul=matmul, strict_upper=strict_upper)
-    return share1, share2
+    return e, f
 
 
 def matrix_beaver_differences(
@@ -277,7 +284,6 @@ def matrix_beaver_share(
     half,
     ring: Ring = DEFAULT_RING,
     matmul=None,
-    strict_upper: bool = False,
     owned: bool = False,
 ) -> np.ndarray:
     """Server *role*'s share of ``A @ B`` from the openings and its triple half.
@@ -288,28 +294,113 @@ def matrix_beaver_share(
     This is the one implementation of the combination: the in-process
     :func:`secure_matrix_multiply` and each forked server call it.
 
-    *matmul* overrides ``ring.matmul`` (bit-identically).  With
-    *strict_upper* the share is bitwise the full share times the public
-    strict-upper mask; without a *matmul* override the products skip the
-    blocks that mask drops (:meth:`Ring.matmul_strict_upper`).  *owned*
-    says the caller owns ``half.y``, so server 2 may form ``<Y> + F`` in
-    place.
+    *matmul* overrides ``ring.matmul`` (bit-identically).  *owned* says the
+    caller owns ``half.y``, so server 2 may form ``<Y> + F`` in place.
     """
-    if matmul is None:
-        # An override computes full products; the final mask still applies.
-        matmul = ring.matmul_strict_upper if strict_upper else ring.matmul
-    x = np.asarray(half.x, dtype=ring.dtype)
-    y = np.asarray(half.y, dtype=ring.dtype)
+    share = _beaver_products(
+        role, e, f, half.x, half.y, ring, matmul or ring.matmul, owned
+    )
+    return _add_reduced(share, half.z, ring)
+
+
+def _beaver_products(role, e, f, x, y, ring, matmul, owned) -> np.ndarray:
+    """``E @ <Y> + <X> @ F`` (server 2: ``E @ (<Y> + F) + <X> @ F``), unreduced.
+
+    Accumulates in place into the first (fresh) product; uint64 wraps
+    modulo ``2^64``, so :func:`_add_reduced` reduces narrower rings once at
+    the end.
+    """
+    x = np.asarray(x, dtype=ring.dtype)
+    y = np.asarray(y, dtype=ring.dtype)
     if role == 2:
         y = np.add(y, f, out=y if owned else None)
         if ring.bits < 64:
             y &= ring.dtype.type(ring.mask)
-    # Accumulate in place into the first (fresh) product; uint64 wraps
-    # modulo 2^64, so narrower rings reduce once at the end.
     share = matmul(e, y)
     del y  # server 2's <Y> + F is dead before the second product
     share += matmul(x, f)
-    share += np.asarray(half.z, dtype=ring.dtype)
+    return share
+
+
+def _add_reduced(share: np.ndarray, z, ring: Ring) -> np.ndarray:
+    """``share + <Z>`` in place, reduced into the ring."""
+    share += np.asarray(z, dtype=ring.dtype)
     if ring.bits < 64:
         share &= ring.dtype.type(ring.mask)
-    return keep_strict_upper(share) if strict_upper else share
+    return share
+
+
+def secure_triangular_gram(
+    c_shares: Tuple[np.ndarray, np.ndarray],
+    n: int,
+    triple: BeaverTriplePair,
+    ring: Ring = DEFAULT_RING,
+    views: Optional[ViewRecorder] = None,
+    authenticator=None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Shares of the strict upper triangle of ``C^T @ C`` for strictly upper ``C``.
+
+    *c_shares* are the servers' packed shares of ``C`` (its
+    ``N = n(n-1)/2`` entries above the diagonal, in
+    :func:`~repro.crypto.ring.pack_strict_upper` order), *triple* a
+    :meth:`~repro.crypto.beaver.BeaverTripleDealer.triangular_triple`; the
+    returned shares are packed the same way.  The servers open the two
+    ``N``-vectors ``e = c - x`` and ``f = c - y`` in one
+    ``matrix_beaver_opening`` round: everything outside the triangle is
+    publicly zero, so nothing there is dealt, opened or multiplied.
+    """
+    t1, t2 = triple.server1, triple.server2
+    e1, f1 = triangular_beaver_differences(1, c_shares[0], t1, ring)
+    e2, f2 = triangular_beaver_differences(2, c_shares[1], t2, ring)
+    e, f = _open_pair(e1, f1, e2, f2, ring, views, authenticator)
+    return (
+        triangular_beaver_share(1, e, f, t1, n, ring),
+        triangular_beaver_share(2, e, f, t2, n, ring),
+    )
+
+
+def triangular_beaver_differences(
+    role: int, c: np.ndarray, half, ring: Ring = DEFAULT_RING
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Server *role*'s packed openings ``(c - <x>, c - <y>)`` of a triangular product.
+
+    Raises :class:`~repro.exceptions.ProtocolError` when its own triple
+    half is not three vectors of *c*'s length.
+    """
+    c = np.asarray(c, dtype=ring.dtype)
+    shapes = (np.shape(half.x), np.shape(half.y), np.shape(half.z))
+    if c.ndim != 1 or shapes != (c.shape,) * 3:
+        raise ProtocolError(
+            f"server {role}'s triangular triple shape does not match the packed "
+            f"operand: triple {shapes}, operand {c.shape}"
+        )
+    return ring.sub(c, half.x), ring.sub(c, half.y)
+
+
+def triangular_beaver_share(
+    role: int, e: np.ndarray, f: np.ndarray, half, n: int, ring: Ring = DEFAULT_RING
+) -> np.ndarray:
+    """Server *role*'s packed share of the strict upper triangle of ``C^T @ C``.
+
+    The :func:`matrix_beaver_share` combination for ``A = C^T`` and
+    ``B = C``: ``E`` and ``<X>`` are the unpacked ``e`` and ``<x>``
+    transposed (strictly lower), ``F`` and ``<Y>`` the unpacked ``f`` and
+    ``<y>`` (strictly upper), so both products are
+    :meth:`~repro.crypto.ring.Ring.matmul_lower_upper`.  The unpacked
+    ``<Y>`` is this server's own buffer, so server 2 forms ``<Y> + F`` in
+    place.  This is the one implementation: the in-process
+    :func:`secure_triangular_gram` and each forked server call it.
+    """
+    share = pack_strict_upper(
+        _beaver_products(
+            role,
+            unpack_strict_upper(e, n).T,
+            unpack_strict_upper(f, n),
+            unpack_strict_upper(half.x, n).T,
+            unpack_strict_upper(half.y, n),
+            ring,
+            ring.matmul_lower_upper,
+            owned=True,
+        )
+    )
+    return _add_reduced(share, half.z, ring)

@@ -23,6 +23,7 @@ from typing import Dict
 
 from repro.core.backends.base import num_candidate_triples
 from repro.core.backends.faithful import DEFAULT_PROVISION_LIMIT
+from repro.core.backends.matrix import deal_triangular_triples
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroupDealer
 from repro.exceptions import WireFormatError
@@ -74,13 +75,13 @@ def _ship_triple(pair, label: str, server1: WireEndpoint, server2: WireEndpoint)
 
 def _deal_matrix(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> None:
     """Replay the matrix backend's two offline draws."""
-    ring = spec["ring"]
     n = int(spec["num_users"])
     if n < 3:
         return
-    dealer = BeaverTripleDealer(ring=ring, seed=spec["dealer_rng"])
-    _ship_triple(dealer.matrix_triple((n, n), (n, n)), "matrix_triple", server1, server2)
-    _ship_triple(dealer.vector_triple((n, n)), "vector_triple", server1, server2)
+    dealer = BeaverTripleDealer(ring=spec["ring"], seed=spec["dealer_rng"])
+    matrix_triple, elementwise_triple = deal_triangular_triples(dealer, n)
+    _ship_triple(matrix_triple, "triangular_triple", server1, server2)
+    _ship_triple(elementwise_triple, "vector_triple", server1, server2)
 
 
 def _deal_blocked(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> None:

@@ -158,19 +158,21 @@ def _checkpoint_token(config: CargoConfig, num_users: int) -> str:
 
 def _aggregate_transport(
     reports: List[Tuple[str, str, Dict[str, Dict[str, int]]]],
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Fold per-link sent-summaries into totals and per-phase payload bytes."""
+) -> Tuple[Dict[str, int], Dict[str, int], Dict[str, int]]:
+    """Fold per-link sent-summaries into totals and payload bytes per phase and kind."""
     totals = {"frames": 0, "payload_bytes": 0, "wire_bytes": 0}
     by_phase: Dict[str, int] = {}
+    by_kind: Dict[str, int] = {}
     for _process, _link, delta in reports:
         for key, counter in delta.items():
             kind_name, _, phase = key.partition("/")
             totals["frames"] += counter["frames"]
             totals["payload_bytes"] += counter["payload_bytes"]
             totals["wire_bytes"] += counter["wire_bytes"]
+            by_kind[kind_name] = by_kind.get(kind_name, 0) + counter["payload_bytes"]
             if phase and kind_name in _LEDGERED_KINDS:
                 by_phase[phase] = by_phase.get(phase, 0) + counter["payload_bytes"]
-    return totals, by_phase
+    return totals, by_phase, by_kind
 
 
 def _reconcile_ledger(
@@ -656,7 +658,7 @@ class DistributedRuntime:
             ("dealer", "server1", dealer_meta["sent"]["server1"]),
             ("dealer", "server2", dealer_meta["sent"]["server2"]),
         ]
-        totals, by_phase = _aggregate_transport(reports)
+        totals, by_phase, by_kind = _aggregate_transport(reports)
         ledger_phases = runtime.ledger.phase_summary()
         skip = ("noisy_degree", "noisy_max_degree") if resumed is not None else ()
         accounted = _reconcile_ledger(ledger_phases, by_phase, skip=skip)
@@ -666,6 +668,7 @@ class DistributedRuntime:
             "wire_bytes": totals["wire_bytes"],
             "overhead_bytes": totals["wire_bytes"] - totals["payload_bytes"],
             "unledgered_payload_bytes": totals["payload_bytes"] - accounted,
+            "payload_bytes_by_kind": dict(sorted(by_kind.items())),
             "processes": {
                 "driver": time.perf_counter() - driver_started,
                 "server1": float(final1.get("seconds", 0.0)),

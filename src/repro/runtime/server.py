@@ -15,7 +15,8 @@ The count loops below mirror the *serial* paths of the in-process backends
 for statement: the same gather schedule, the same tile order, the same ring
 operations in the same order.  The per-role Beaver combinations are the
 in-process ones (:func:`~repro.crypto.secure_ops.beaver_share`,
-:func:`~repro.crypto.secure_ops.matrix_beaver_share`).  Because every ring
+:func:`~repro.crypto.secure_ops.matrix_beaver_share`,
+:func:`~repro.crypto.secure_ops.triangular_beaver_share`).  Because every ring
 operation is exact modulo ``2^l``, the shares each server derives — and
 therefore every opened value that crosses the wire — are bit-identical to
 what the in-process engine opens for the same seed and configuration.
@@ -45,7 +46,14 @@ from repro.core.backends.faithful import _gather_schedule
 from repro.crypto.beaver import BeaverTriple
 from repro.crypto.mac import MacKey, _TAG_DOMAIN
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroup
-from repro.crypto.secure_ops import beaver_share, matrix_beaver_differences, matrix_beaver_share
+from repro.crypto.ring import pack_strict_upper
+from repro.crypto.secure_ops import (
+    beaver_share,
+    matrix_beaver_differences,
+    matrix_beaver_share,
+    triangular_beaver_differences,
+    triangular_beaver_share,
+)
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import CheaterDetectedError, ProtocolError, WireFormatError
 from repro.resilience.faults import FaultPlan, InjectedCrash, fault_point, install_fault_plan
@@ -259,20 +267,31 @@ def _multiply_triple(channel, role, ring, a, b, c, mg, views):
     return result
 
 
-def _matrix_multiply(channel, role, ring, a, b, triple, views, strict_upper=False):
+def _matrix_multiply(channel, role, ring, a, b, triple, views):
     """This role's side of ``secure_matrix_multiply`` (matrix Beaver).
 
     The triple half arrived in this server's own PROVISION frame and is
     used once, so server 2 forms ``<Y> + F`` in its buffer.
     """
-    e, f = channel.exchange(
-        "matrix_beaver_opening", matrix_beaver_differences(role, a, b, triple, ring)
+    e, f = _open_matrix_beaver(
+        channel, role, matrix_beaver_differences(role, a, b, triple, ring), views
     )
+    return matrix_beaver_share(role, e, f, triple, ring, owned=True)
+
+
+def _triangular_gram(channel, role, ring, c, n, triple, views):
+    """This role's side of ``secure_triangular_gram`` (packed ``C^T C``)."""
+    e, f = _open_matrix_beaver(
+        channel, role, triangular_beaver_differences(role, c, triple, ring), views
+    )
+    return triangular_beaver_share(role, e, f, triple, n, ring)
+
+
+def _open_matrix_beaver(channel, role, differences, views):
+    e, f = channel.exchange("matrix_beaver_opening", differences)
     if views is not None:
         views.observe(role, "matrix_beaver_opening", (e, f))
-    return matrix_beaver_share(
-        role, e, f, triple, ring, strict_upper=strict_upper, owned=True
-    )
+    return e, f
 
 
 # ---------------------------------------------------------------------- #
@@ -290,7 +309,10 @@ def _recv_group(endpoint: WireEndpoint) -> MultiplicationGroup:
 
 
 def _recv_triple(endpoint: WireEndpoint, label: str) -> BeaverTriple:
-    """One Beaver-triple half (``matrix_triple`` / ``vector_triple``)."""
+    """One Beaver-triple half.
+
+    *label* is ``matrix_triple``, ``triangular_triple`` or ``vector_triple``.
+    """
     meta, arrays = endpoint.recv_expect(KIND_PROVISION)
     if meta.get("label") != label or len(arrays) != 3:
         raise WireFormatError(
@@ -349,14 +371,12 @@ def _count_matrix(dealer_ep, channel, ring, share, role, views, tracer):
         return 0, 0, 0
     num_triples = num_candidate_triples(n)
     with tracer.span("backend", backend="matrix", num_users=n, candidates=num_triples):
-        c = np.triu(share, k=1)
+        c = pack_strict_upper(share)
         with tracer.span("offline"):
-            matrix_triple = _recv_triple(dealer_ep, "matrix_triple")
+            matrix_triple = _recv_triple(dealer_ep, "triangular_triple")
             elementwise_triple = _recv_triple(dealer_ep, "vector_triple")
         with tracer.span("online", opening_rounds=2):
-            m = _matrix_multiply(
-                channel, role, ring, c.T.copy(), c, matrix_triple, views, strict_upper=True
-            )
+            m = _triangular_gram(channel, role, ring, c, n, matrix_triple, views)
             prod = _multiply_pair(channel, role, ring, c, m, elementwise_triple, views)
             total = ring.sum(prod)
     return int(total), num_triples, 2

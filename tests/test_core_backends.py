@@ -160,8 +160,9 @@ class TestBlockedMemoryProfile:
             rows, rng=10
         )
 
-        # Monolithic: one triple holding three n x n arrays.
-        assert monolithic_dealer.largest_triple_elements == 3 * n * n
+        # Monolithic: one triple holding three packed strict-upper vectors
+        # (N = n(n-1)/2 entries each).
+        assert monolithic_dealer.largest_triple_elements == 3 * (n * (n - 1) // 2)
         # Blocked: no single triple exceeds three block_size x block_size arrays.
         assert blocked_dealer.largest_triple_elements <= 3 * block_size * block_size
         assert (

@@ -14,8 +14,10 @@ from repro.crypto.ring import (
     Ring,
     keep_strict_upper,
     limb_matmul_applies,
+    pack_strict_upper,
+    unpack_strict_upper,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ProtocolError
 
 
 class TestConstruction:
@@ -176,34 +178,50 @@ class TestLimbMatmul:
         assert limb_matmul_applies((256, wide), (wide, 256))
 
 
-class TestStrictUpperMatmul:
-    """``matmul_strict_upper`` is bitwise the masked full product."""
+class TestLowerUpperMatmul:
+    """``matmul_lower_upper`` is bitwise the strict upper triangle of the full product."""
 
-    @pytest.mark.parametrize("bits", [16, 63, 64])
-    # Both sides of the crossover and of every strip boundary, up to the
-    # matrix backend's n = 768 (3 x 3 strips, 6 kept).
-    @pytest.mark.parametrize("n", [64, 128, 255, 256, 257, 300, 513, 768])
-    def test_matches_masked_full_product(self, bits, n):
+    @pytest.mark.parametrize("bits", [16, 23, 64])
+    # Both sides of the crossover, of every strip and inner-chunk boundary,
+    # and past the matrix backend's n = 768.
+    @pytest.mark.parametrize(
+        "n", [64, 127, 128, 255, 256, 257, 300, 511, 512, 513, 768, 1025]
+    )
+    def test_matches_strict_upper_of_full_product(self, bits, n):
         ring = Ring(bits=bits)
         rng = np.random.default_rng(n + bits)
-        a = _full_range((n, n), rng)
-        b = _full_range((n, n), rng)
-        mask = np.triu(np.ones((n, n), dtype=np.uint64), k=1)
-        product = ring.matmul_strict_upper(a, b)
+        lower = np.tril(_full_range((n, n), rng))
+        upper = np.triu(_full_range((n, n), rng))
+        product = ring.matmul_lower_upper(lower, upper)
         assert product.dtype == np.uint64
-        assert np.array_equal(product, ring.mul(ring.matmul(a, b), mask))
+        assert np.array_equal(product, keep_strict_upper(ring.matmul(lower, upper)))
 
     @pytest.mark.parametrize(
-        "m,k,n",
-        [(300, 513, 257), (257, 200, 600), (600, 130, 257), (LIMB_STRIP + 1, 128, 128)],
+        "m,k,n", [(300, 513, 257), (257, 200, 600), (600, 130, 257), (LIMB_STRIP + 1, 128, 128)]
     )
     def test_rectangular_products(self, m, k, n):
         rng = np.random.default_rng(m + k + n)
-        a = _full_range((m, k), rng)
-        b = _full_range((k, n), rng)
-        mask = np.triu(np.ones((m, n), dtype=np.uint64), k=1)
-        expected = DEFAULT_RING.mul(DEFAULT_RING.matmul(a, b), mask)
-        assert np.array_equal(DEFAULT_RING.matmul_strict_upper(a, b), expected)
+        lower = np.tril(_full_range((m, k), rng))
+        upper = np.triu(_full_range((k, n), rng))
+        expected = keep_strict_upper(DEFAULT_RING.matmul(lower, upper))
+        assert np.array_equal(DEFAULT_RING.matmul_lower_upper(lower, upper), expected)
+
+    @pytest.mark.parametrize("n", [40, 300])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("far", [False, True])
+    def test_rejects_operands_off_their_triangle(self, n, side, far):
+        rng = np.random.default_rng(n)
+        lower = np.tril(_full_range((n, n), rng))
+        upper = np.triu(_full_range((n, n), rng))
+        # Just off the diagonal, or in the far corner (outside the
+        # diagonal strip of the limb path).
+        row, col = (0, n - 1) if far else (n - 2, n - 1)
+        if side == "left":
+            lower[row, col] = 1
+        else:
+            upper[col, row] = 1
+        with pytest.raises(ProtocolError, match=side):
+            DEFAULT_RING.matmul_lower_upper(lower, upper)
 
     def test_keep_strict_upper_is_in_place_mask(self):
         rng = np.random.default_rng(5)
@@ -211,6 +229,17 @@ class TestStrictUpperMatmul:
         expected = np.triu(x, k=1)
         assert keep_strict_upper(x) is x
         assert np.array_equal(x, expected)
+
+
+class TestStrictUpperPacking:
+    @pytest.mark.parametrize("n", [2, 3, 17, 300])
+    def test_pack_is_row_major_triu_and_unpack_inverts_it(self, n):
+        rng = np.random.default_rng(n)
+        x = _full_range((n, n), rng) if n > 2 else np.arange(4, dtype=np.uint64).reshape(2, 2)
+        packed = pack_strict_upper(x)
+        assert packed.shape == (n * (n - 1) // 2,)
+        assert np.array_equal(packed, x[np.triu_indices(n, k=1)])
+        assert np.array_equal(unpack_strict_upper(packed, n), np.triu(x, k=1))
 
 
 class TestSampling:

@@ -7,14 +7,22 @@ import pytest
 
 from repro.crypto.beaver import BeaverTriple, BeaverTripleDealer, BeaverTriplePair
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
-from repro.crypto.ring import DEFAULT_RING, Ring
+from repro.crypto.ring import (
+    DEFAULT_RING,
+    Ring,
+    keep_strict_upper,
+    pack_strict_upper,
+    unpack_strict_upper,
+)
 from repro.crypto.secure_ops import (
     matrix_beaver_share,
     secure_add,
     secure_matrix_multiply,
     secure_multiply_pair,
     secure_multiply_triple,
+    secure_triangular_gram,
 )
+from repro.crypto.views import ViewRecorder
 from repro.crypto.sharing import reconstruct, reconstruct_vector, share_scalar, share_vector
 from repro.exceptions import ProtocolError
 
@@ -191,22 +199,16 @@ class TestMatrixBeaverCombination:
         s1, s2 = secure_matrix_multiply(a_shares, b_shares, triple, ring=ring)
         assert np.array_equal(s1, ref1)
         assert np.array_equal(s2, ref2)
-        mask = np.triu(np.ones((n, n), dtype=np.uint64), k=1)
-        u1, u2 = secure_matrix_multiply(
-            a_shares, b_shares, triple, ring=ring, strict_upper=True
-        )
-        assert np.array_equal(u1, ring.mul(ref1, mask))
-        assert np.array_equal(u2, ring.mul(ref2, mask))
 
-    def test_pool_matmul_strict_upper_matches(self):
+    def test_pool_matmul_matches(self):
         ring = DEFAULT_RING
         dealer = BeaverTripleDealer(seed=3)
         rng = np.random.default_rng(4)
         shares = (ring.random_array((200, 200), rng), ring.random_array((200, 200), rng))
         triple = dealer.matrix_triple((200, 200), (200, 200))
-        serial = secure_matrix_multiply(shares, shares, triple, strict_upper=True)
+        serial = secure_matrix_multiply(shares, shares, triple)
         striped = secure_matrix_multiply(
-            shares, shares, triple, strict_upper=True,
+            shares, shares, triple,
             matmul=lambda a, b: np.concatenate(
                 [ring.matmul(a[:70], b), ring.matmul(a[70:], b)]
             ),
@@ -238,6 +240,92 @@ class TestMatrixBeaverCombination:
         share = matrix_beaver_share(2, e, f, owned, ring, owned=True)
         assert np.array_equal(share, ref2)
         assert np.array_equal(owned.y, y_plus_f)
+
+
+def _strictly_upper_shares(ring, n, rng):
+    """Two shares of a strictly upper-triangular secret, each itself strictly upper."""
+    return tuple(np.triu(ring.random_array((n, n), rng), k=1) for _ in range(2))
+
+
+class TestTriangularGram:
+    """Packed triangular Beaver products: the strict upper triangle of ``C^T C``."""
+
+    # 40: int64 path; 300: limb path with a partial strip.
+    @pytest.mark.parametrize("n", [3, 40, 300])
+    @pytest.mark.parametrize("bits", [16, 63, 64])
+    def test_reconstructs_strict_upper_gram(self, n, bits):
+        ring = Ring(bits=bits)
+        c1, c2 = _strictly_upper_shares(ring, n, np.random.default_rng(n + bits))
+        triple = BeaverTripleDealer(ring=ring, seed=bits).triangular_triple(n)
+        m1, m2 = secure_triangular_gram(
+            (pack_strict_upper(c1), pack_strict_upper(c2)), n, triple, ring=ring
+        )
+        c = ring.add(c1, c2)
+        expected = pack_strict_upper(keep_strict_upper(ring.matmul(c.T.copy(), c)))
+        assert m1.shape == m2.shape == (n * (n - 1) // 2,)
+        assert np.array_equal(ring.add(m1, m2), expected)
+
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_shares_equal_dense_fold_on_unpacked_triple(self, n):
+        """Per share, the packed fold is the dense two-product fold, masked."""
+        ring = DEFAULT_RING
+        c1, c2 = _strictly_upper_shares(ring, n, np.random.default_rng(n))
+        triple = BeaverTripleDealer(seed=n).triangular_triple(n)
+        packed = secure_triangular_gram(
+            (pack_strict_upper(c1), pack_strict_upper(c2)), n, triple
+        )
+
+        def dense(half):
+            x = unpack_strict_upper(half.x, n).T
+            y = unpack_strict_upper(half.y, n)
+            z = unpack_strict_upper(half.z, n)
+            return BeaverTriple(x=x, y=y, z=z)
+
+        dense_pair = BeaverTriplePair(server1=dense(triple.server1), server2=dense(triple.server2))
+        unmasked = secure_matrix_multiply(
+            (c1.T.copy(), c2.T.copy()), (c1, c2), dense_pair
+        )
+        for share, full in zip(packed, unmasked):
+            assert np.array_equal(share, pack_strict_upper(full))
+
+    def test_dealt_triple_is_packed_and_correlated(self):
+        n = 50
+        size = n * (n - 1) // 2
+        dealer = BeaverTripleDealer(seed=4)
+        x, y, z = dealer.triangular_triple(n).plaintext()
+        assert x.shape == y.shape == z.shape == (size,)
+        lower = unpack_strict_upper(x, n).T
+        upper = unpack_strict_upper(y, n)
+        expected = pack_strict_upper(keep_strict_upper(DEFAULT_RING.matmul(lower, upper)))
+        assert np.array_equal(z, expected)
+        assert dealer.largest_triple_elements == 3 * size
+
+    def test_views_are_two_packed_vectors(self):
+        n = 30
+        ring = DEFAULT_RING
+        c1, c2 = _strictly_upper_shares(ring, n, np.random.default_rng(1))
+        views = ViewRecorder()
+        triple = BeaverTripleDealer(seed=2).triangular_triple(n)
+        secure_triangular_gram(
+            (pack_strict_upper(c1), pack_strict_upper(c2)), n, triple, views=views
+        )
+        for server in (1, 2):
+            (opened,) = views.view(server).values("matrix_beaver_opening")
+            assert [np.shape(part) for part in opened] == [(n * (n - 1) // 2,)] * 2
+
+    @pytest.mark.parametrize("server", [1, 2])
+    @pytest.mark.parametrize("field", ["x", "y", "z"])
+    def test_mismatched_half_rejected(self, server, field):
+        n = 6
+        triple = BeaverTripleDealer(seed=9).triangular_triple(n)
+        halves = {1: triple.server1, 2: triple.server2}
+        fields = dict(x=halves[server].x, y=halves[server].y, z=halves[server].z)
+        fields[field] = fields[field][:-1]
+        halves[server] = BeaverTriple(**fields)
+        broken = BeaverTriplePair(server1=halves[1], server2=halves[2])
+        c = np.zeros(n * (n - 1) // 2, dtype=np.uint64)
+        with pytest.raises(ProtocolError, match=f"server {server}'s triangular triple"):
+            secure_triangular_gram((c, c), n, broken)
 
 
 class TestMatrixTripleShapeChecks:

@@ -31,7 +31,7 @@ BACKENDS = ("faithful", "batched", "matrix", "blocked")
 #: Small enough that the faithful backend's O(n^3) rounds stay quick.
 N_SMALL = 24
 #: Large enough that the servers' ring products take the limb path (and the
-#: matrix backend's strict-upper product skips a block), with a partial strip.
+#: matrix backend's triangular product skips blocks), with a partial strip.
 N_LIMB = 300
 
 
@@ -163,6 +163,64 @@ class TestBitIdentityAtLimbSize:
                     assert np.array_equal(np.asarray(opened_here), np.asarray(opened_there))
 
 
+class TestTriangularMatrixProtocolShape:
+    """The matrix backend deals and opens only the strict upper triangle.
+
+    With ``N = n(n-1)/2``: one triangular triple and one element-wise triple
+    of three ``N``-vectors each per server, two opening rounds of two
+    ``N``-vectors each, then the one-value release opening.
+    """
+
+    @staticmethod
+    def _release(graph, distributed):
+        from repro.telemetry import Telemetry, build_manifest
+
+        telemetry = Telemetry()
+        config = make_config(
+            "matrix", distributed=distributed, record_views=True, telemetry=telemetry
+        )
+        if distributed:
+            views = ViewRecorder()
+            result = run_distributed(graph, config, views=views)
+        else:
+            cargo = Cargo(config)
+            result = cargo.run(graph)
+            views = cargo.views
+        (release,) = build_manifest(telemetry)["releases"]
+        return result, views, release["mac"]
+
+    @pytest.mark.parametrize("distributed", [False, True])
+    def test_openings_and_mac_counters_are_packed(self, graph, distributed):
+        size = N_SMALL * (N_SMALL - 1) // 2
+        _, views, mac = self._release(graph, distributed)
+        assert mac == {"rounds_checked": 3, "values_checked": 4 * size + 1}
+        for server_index in (1, 2):
+            (opening,) = views.view(server_index).values("matrix_beaver_opening")
+            assert [np.shape(part) for part in opening] == [(size,), (size,)]
+
+    def test_dealer_issues_three_packed_vectors_per_triple(self, graph):
+        from repro.core.backends import MatrixTriangleCounter, share_adjacency_rows
+        from repro.crypto.beaver import BeaverTripleDealer
+
+        dealer = BeaverTripleDealer(seed=1)
+        share1, share2 = share_adjacency_rows(graph.adjacency_matrix(), rng=2)
+        MatrixTriangleCounter(dealer=dealer).count_from_shares(share1, share2)
+        size = N_SMALL * (N_SMALL - 1) // 2
+        assert dealer.largest_triple_elements == 3 * size
+        assert dealer.total_triple_elements == 6 * size
+
+    def test_payload_by_kind_matches_packed_formulas(self, graph):
+        from repro.telemetry import Telemetry
+
+        result = run_distributed(
+            graph, make_config("matrix", distributed=True, telemetry=Telemetry())
+        )
+        by_kind = result.telemetry["transport"]["payload_bytes_by_kind"]
+        size = N_SMALL * (N_SMALL - 1) // 2
+        assert by_kind["PROVISION"] == 96 * size
+        assert by_kind["OPEN_VALUES"] == by_kind["OPEN_MAC"] == 64 * size + 16
+
+
 class TestTransport:
     def test_transport_section_accounts_for_every_byte(self, graph):
         from repro.telemetry import Telemetry
@@ -188,6 +246,9 @@ class TestTransport:
         )
         assert ledgered <= transport["payload_bytes"]
         assert transport["unledgered_payload_bytes"] >= 0
+        by_kind = transport["payload_bytes_by_kind"]
+        assert sum(by_kind.values()) == transport["payload_bytes"]
+        assert {"PROVISION", "SHARES", "OPEN_VALUES", "OPEN_MAC"} <= set(by_kind)
         for process in ("driver", "server1", "server2", "dealer"):
             assert transport["processes"][process] >= 0.0
         # The release record in the manifest carries the same section.

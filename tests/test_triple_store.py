@@ -273,3 +273,43 @@ class TestMmapStore:
         mmap_store.put(sig, {"x": np.ones(4, dtype=np.uint64)})
         plain = TripleStore(cache_dir=str(tmp_path))
         assert plain.get(sig) is None
+
+
+class TestMatrixBackendStoreKey:
+    def test_dense_entry_from_an_older_layout_misses(self, tmp_path):
+        """A store written with dense ``n x n`` matrix triples is never served
+        to the packed triangular count: its signature differs in geometry."""
+        from repro.core.backends import MatrixTriangleCounter, share_adjacency_rows
+        from repro.graph.generators import erdos_renyi_graph
+        from repro.graph.triangles import count_triangles
+
+        n = 12
+        graph = erdos_renyi_graph(n, 0.5, seed=3)
+        share1, share2 = share_adjacency_rows(graph.adjacency_matrix(), rng=3)
+        old_dealer = BeaverTripleDealer(seed=11)
+        dense_signature = TripleSignature(
+            statistic="triangles",
+            backend="matrix",
+            num_users=n,
+            geometry=(("layout", "monolithic"),),
+            ring_bits=64,
+            dealer_key=old_dealer.fingerprint(),
+        )
+        writer = TripleStore(cache_dir=str(tmp_path))
+        writer.put(
+            dense_signature,
+            {
+                "matrix": old_dealer.matrix_triple((n, n), (n, n)),
+                "elementwise": old_dealer.vector_triple((n, n)),
+                "accounting": old_dealer.accounting(),
+            },
+        )
+
+        store = TripleStore(cache_dir=str(tmp_path))
+        counted = MatrixTriangleCounter(
+            dealer=BeaverTripleDealer(seed=11), triple_store=store
+        ).count_from_shares(share1, share2)
+        assert counted.reconstruct() == count_triangles(graph)
+        assert store.stats()["hits"] == 0
+        assert store.stats()["misses"] == 1
+        assert store.get(dense_signature) is not None  # still there, just not served
