@@ -61,14 +61,8 @@ SPARSE_EDGE_FACTOR = 3
 SPARSE_STAR_K = 3
 
 
-def _backend_builders(num_users: int, block_size: int, workers: int = 0):
-    """Name -> (dealer, counter) builders applicable at this n.
-
-    *workers* > 0 builds every counter but ``matrix`` (which has no worker
-    knob) in tile-parallel engine mode (``REPRO_BENCH_WORKERS`` from the
-    CLI); outputs and opening schedules are bit-identical either way, so
-    the sweep stays comparable.
-    """
+def _backend_builders(num_users: int, block_size: int):
+    """Name -> (dealer, counter) builders applicable at this n."""
     builders = {
         "matrix": lambda: _with_dealer(
             BeaverTripleDealer(seed=0),
@@ -76,23 +70,17 @@ def _backend_builders(num_users: int, block_size: int, workers: int = 0):
         ),
         "blocked": lambda: _with_dealer(
             BeaverTripleDealer(seed=0),
-            lambda dealer: BlockedMatrixTriangleCounter(
-                dealer=dealer, block_size=block_size, workers=workers
-            ),
+            lambda dealer: BlockedMatrixTriangleCounter(dealer=dealer, block_size=block_size),
         ),
         "batched": lambda: _with_dealer(
             MultiplicationGroupDealer(seed=0),
-            lambda dealer: FaithfulTriangleCounter(
-                dealer=dealer, batch_size=BATCH_SIZE, workers=workers
-            ),
+            lambda dealer: FaithfulTriangleCounter(dealer=dealer, batch_size=BATCH_SIZE),
         ),
     }
     if num_users <= FAITHFUL_MAX_USERS:
         builders["faithful"] = lambda: _with_dealer(
             MultiplicationGroupDealer(seed=0),
-            lambda dealer: FaithfulTriangleCounter(
-                dealer=dealer, batch_size=1, workers=workers
-            ),
+            lambda dealer: FaithfulTriangleCounter(dealer=dealer, batch_size=1),
         )
     return builders
 
@@ -107,20 +95,17 @@ def run_backend_scaling(
     user_counts=None,
     block_size: int = BLOCK_SIZE,
     reps: int = TIMING_REPS,
-    workers: int = 0,
 ):
     """Return one row per (n, backend) with runtime and dealer stats."""
     if user_counts is None:
         quick = os.environ.get("REPRO_BENCH_QUICK", "").strip() not in ("", "0")
         user_counts = QUICK_USER_COUNTS if quick else DEFAULT_USER_COUNTS
-    if not workers:
-        workers = int(os.environ.get("REPRO_BENCH_WORKERS", "0") or 0)
     rows = []
     for num_users in user_counts:
         graph = load_dataset("facebook", num_nodes=num_users)
         share1, share2 = share_adjacency_rows(graph.adjacency_matrix(), rng=num_users)
         counts = {}
-        for name, build in _backend_builders(num_users, block_size, workers).items():
+        for name, build in _backend_builders(num_users, block_size).items():
             best = None
             for _ in range(max(reps, 1)):
                 dealer, counter = build()

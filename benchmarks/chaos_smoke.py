@@ -115,7 +115,6 @@ def run_tile_kill_resume(workdir: Path) -> dict:
             counting_backend="blocked",
             block_size=16,
             tile_window=2,
-            workers=2,
             seed=123,
             track_communication=True,
             resilience=resilience,

@@ -1,9 +1,7 @@
 """CI perf-smoke gate: quick benchmarks vs the committed baseline.
 
-Runs the small-n backend-scaling sweep, the crypto-primitive timings, the
-n=256 blocked/matrix rows of the tile-parallel engine (serial plus a
-``--workers N`` parallel variant, default 2), and the n=10^4 sparse-tier
-k-star release, writes the fresh rows to
+Runs the small-n backend-scaling sweep, the crypto-primitive timings, and
+the n=10^4 sparse-tier k-star release, writes the fresh rows to
 ``benchmarks/results/perf_smoke.json`` (the CI artifact), and compares each
 timed row against ``BENCH_baseline.json`` at the repository root.  Two
 conditions fail the gate, each with the ``TOLERANCE`` factor (3x):
@@ -20,9 +18,6 @@ The factor is deliberately loose; the gate exists to catch algorithmic
 regressions, not scheduler noise.
 
 Every report and baseline records the host's CPU count and load average.
-On a single-CPU host the multi-worker engine rows time contention rather
-than the engine, so a blown bound there is reported as a warning instead
-of failing the gate.
 
 Every row also records its tracemalloc ``peak_bytes`` (measured by the
 bench modules in a separate pass, never inside a timed repetition), gated
@@ -33,9 +28,8 @@ noise.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/perf_smoke.py               # gate (exit 1 on regression)
-    PYTHONPATH=src python benchmarks/perf_smoke.py --workers 2   # explicit parallel-row workers
-    PYTHONPATH=src python benchmarks/perf_smoke.py --rebase      # rewrite the baseline
+    PYTHONPATH=src python benchmarks/perf_smoke.py            # gate (exit 1 on regression)
+    PYTHONPATH=src python benchmarks/perf_smoke.py --rebase   # rewrite the baseline
 """
 
 from __future__ import annotations
@@ -55,7 +49,6 @@ from bench_backend_scaling import (
     run_sparse_scaling,
 )
 from bench_crypto_primitives import run_crypto_primitives
-from bench_parallel_engine import run_parallel_engine
 from repro.utils.atomic import atomic_write_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -65,9 +58,6 @@ TOLERANCE = 3.0
 #: Peak-memory gate factor: allocation sizes do not vary with host speed, so
 #: the bound is tighter than the timing gate and applied without calibration.
 MEMORY_TOLERANCE = 2.0
-#: n for the engine rows; serial (workers=1) plus one parallel variant.
-ENGINE_USERS = 256
-DEFAULT_ENGINE_WORKERS = 2
 #: Disabled-telemetry overhead gate: an explicitly disabled Telemetry
 #: session must cost at most this factor over no session at all (or at most
 #: the absolute slack, whichever is looser — tiny runs are timer-noise
@@ -93,21 +83,14 @@ AUTH_OVERHEAD_ABS_SECONDS = 0.002
 def host_block() -> dict:
     """CPU count and load average, recorded in every report and baseline.
 
-    Parallel rows (``workers > 1``) only mean something on a host that can
-    actually run the workers concurrently; recording the context lets a
-    reader — and the gate itself — interpret them correctly.
+    Timings depend on how busy the host was; recording the context lets a
+    reader interpret them.
     """
     try:
         load_average = os.getloadavg()[0]
     except (AttributeError, OSError):  # pragma: no cover - non-POSIX hosts
         load_average = -1.0
     return {"host_cpus": os.cpu_count() or 1, "load_average": load_average}
-
-
-def _is_parallel_row(key: str) -> bool:
-    """Whether *key* times a multi-worker run (meaningless on one CPU)."""
-    _, _, workers = key.rpartition("/workers=")
-    return workers.isdigit() and int(workers) > 1
 
 
 def check_telemetry_overhead(failures: list) -> dict:
@@ -170,7 +153,7 @@ def check_resilience_overhead(failures: list) -> dict:
     """A/B the blocked-backend release with and without a no-op resilience.
 
     The blocked backend crosses the densest set of fault sites per release
-    (``dealer.provision`` per tile group, ``pool.task`` per task), so it
+    (``dealer.provision`` per triple, ``pool.task`` per tile group), so it
     upper-bounds what the disabled machinery — ``fault_point`` reading one
     module global, ``resolve_resilience`` returning the shared no-op —
     costs a run that never opted in.
@@ -292,34 +275,18 @@ def check_authentication_overhead(failures: list) -> dict:
 def _key(row: dict) -> str:
     if row.get("tier") == "sparse":
         return f"sparse_scaling/{row['statistic']}/n={row['num_nodes']}"
-    if "workers" in row:
-        return (
-            f"parallel_engine/{row['backend']}/n={row['num_users']}"
-            f"/workers={row['workers']}"
-        )
     if "backend" in row:
         return f"backend_scaling/{row['backend']}/n={row['num_users']}"
     return f"crypto_primitives/{row['name']}"
 
 
-def collect_rows(engine_workers: int = DEFAULT_ENGINE_WORKERS) -> dict:
-    """Run the quick benchmarks and index the timed rows by comparison key.
-
-    The gated engine rows always cover workers ∈ {1, DEFAULT}, matching the
-    committed baseline keys; a different *engine_workers* adds an extra
-    exploratory row (ignored by the gate, which only iterates baseline keys).
-    """
+def collect_rows() -> dict:
+    """Run the quick benchmarks and index the timed rows by comparison key."""
     rows = {}
     for row in run_backend_scaling(user_counts=QUICK_USER_COUNTS):
         rows[_key(row)] = row
     for row in run_crypto_primitives():
         rows[_key(row)] = row
-    worker_counts = tuple(sorted({1, DEFAULT_ENGINE_WORKERS, engine_workers}))
-    for row in run_parallel_engine(
-        user_counts=(ENGINE_USERS,), worker_counts=worker_counts
-    ):
-        if "workers" in row:  # the offline cold/warm row is not a gated timing
-            rows[_key(row)] = row
     for row in run_sparse_scaling(node_counts=QUICK_SPARSE_NODE_COUNTS):
         rows[_key(row)] = row
     return rows
@@ -330,17 +297,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument(
         "--rebase", action="store_true", help="rewrite BENCH_baseline.json from this run"
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=DEFAULT_ENGINE_WORKERS,
-        help="worker count for the parallel engine rows (workers=1 and the "
-        f"default {DEFAULT_ENGINE_WORKERS} are always measured for the gate)",
-    )
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"--workers must be at least 1, got {args.workers}")
-    rows = collect_rows(args.workers)
+    rows = collect_rows()
     overhead_failures: list = []
     overhead_rows = [
         check_telemetry_overhead(overhead_failures),
@@ -416,17 +374,12 @@ def main(argv: list[str]) -> int:
     for key, ratio in ratios.items():
         normalised = ratio / median_ratio if median_ratio > 0 else float("inf")
         over = normalised > tolerance
-        # Multi-worker rows on a single-CPU host time contention, not the
-        # engine: the workers cannot run concurrently, so a blown bound is a
-        # property of the runner, not the code.  Warn instead of failing.
-        soft = over and _is_parallel_row(key) and host["host_cpus"] == 1
-        status = "warn" if soft else ("FAIL" if over else "ok")
+        status = "FAIL" if over else "ok"
         print(
             f"  {status:4s} {key}: {rows[key]['seconds']*1e3:8.2f} ms vs baseline "
             f"{baseline['rows'][key]*1e3:8.2f} ms ({ratio:.2f}x raw, {normalised:.2f}x calibrated)"
-            + (" — parallel row on a 1-CPU host, not gated" if soft else "")
         )
-        if over and not soft:
+        if over:
             regressions.append(key)
     # Peak-memory gate: absolute ratios, no host calibration (allocation
     # sizes are machine-independent; a blown ceiling means an algorithmic

@@ -117,9 +117,8 @@ API_PAGES = {
         ),
     ),
     "parallel": (
-        "repro.parallel — worker pool, triple store and BLAS threads",
+        "repro.parallel — triple store and BLAS threads",
         (
-            "repro.parallel.pool",
             "repro.parallel.store",
             "repro.utils.blas",
         ),

@@ -107,14 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         "identical rows to a serial run)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker threads for each secure count's tile-parallel engine "
-        "(CargoConfig/StreamingConfig workers; transcripts are bit-identical "
-        "for any count, so this is purely a wall-clock knob)",
-    )
-    parser.add_argument(
         "--sparse",
         choices=("auto", "never", "force"),
         default=None,
@@ -126,9 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tile-window",
         type=int,
         default=None,
-        help="bounded tile window for the blocked backend (CargoConfig "
-        "tile_window; peak offline-material memory is set by the window, "
-        "not the graph size, with bit-identical transcripts)",
+        help="chunk length, in tile groups, of the blocked backend's loop "
+        "(CargoConfig tile_window: material is dealt, stored and checkpointed "
+        "one chunk at a time, with bit-identical transcripts)",
     )
     parser.add_argument(
         "--checkpoint",
@@ -150,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="retry transient I/O failures (triple-store reads, checkpoint "
-        "writes, pool tasks, anchors) up to N attempts per operation",
+        "writes, tile-group tasks, anchors) up to N attempts per operation",
     )
     parser.add_argument(
         "--strict-integrity",
@@ -244,8 +236,6 @@ def _collect_overrides(
         overrides["star_k"] = args.star_k
     if args.max_workers is not None and "max_workers" in accepted:
         overrides["max_workers"] = args.max_workers
-    if args.workers is not None and "workers" in accepted:
-        overrides["workers"] = args.workers
     if args.sparse is not None and "sparse" in accepted:
         overrides["sparse"] = args.sparse
     if args.tile_window is not None and "tile_window" in accepted:

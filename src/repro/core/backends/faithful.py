@@ -40,7 +40,7 @@ from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.secure_ops import secure_multiply_triple
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import DealerError, ProtocolError
-from repro.parallel import TripleSignature, WorkerPool, resolve_workers
+from repro.parallel import TripleSignature
 from repro.telemetry import resolve_telemetry
 from repro.utils.rng import RandomState
 
@@ -200,16 +200,10 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         per buffered offline-phase call (memory bound).  ``0`` disables
         buffered dealing and draws one group batch per opening round, exactly
         as the unbuffered dealer would.
-    workers:
-        ``0`` keeps the serial path; ``>= 1`` fans the candidate blocks out
-        over a worker pool.  The provisioned mask stream and the per-block
-        slices are fixed serially first (they depend only on the schedule),
-        so the transcript is bit-identical to the serial path for any worker
-        count.
     triple_store:
         Optional :class:`~repro.parallel.store.TripleStore` memoising the
-        provisioned group stream (engine path only; streams larger than the
-        store's per-entry budget are dealt lazily and not cached).
+        provisioned group stream (streams larger than the store's per-entry
+        budget are dealt lazily and not cached).
     """
 
     def __init__(
@@ -219,7 +213,6 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         batch_size: int = 1,
         views: Optional[ViewRecorder] = None,
         provision_limit: int = DEFAULT_PROVISION_LIMIT,
-        workers: int = 0,
         triple_store=None,
         telemetry=None,
         authenticator=None,
@@ -228,15 +221,12 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
             raise ProtocolError(f"batch_size must be positive, got {batch_size}")
         if provision_limit < 0:
             raise ProtocolError(f"provision_limit must be non-negative, got {provision_limit}")
-        if workers < 0:
-            raise ProtocolError(f"workers must be non-negative, got {workers}")
         super().__init__(
             ring=ring, views=views, telemetry=telemetry, authenticator=authenticator
         )
         self._dealer = dealer if dealer is not None else MultiplicationGroupDealer(ring=ring)
         self._batch_size = batch_size
         self._provision_limit = provision_limit
-        self._workers = int(workers)
         self._store = triple_store
 
     @classmethod
@@ -253,7 +243,6 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
             dealer=dealer,
             batch_size=1,
             views=views,
-            workers=resolve_workers(config),
             triple_store=getattr(config, "triple_store", None),
             telemetry=resolve_telemetry(config),
             authenticator=authenticator,
@@ -265,22 +254,9 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         """Run the secure count given each server's share matrix."""
         share1, share2 = self._validate_share_matrices(share1, share2)
         num_users = share1.shape[0]
-        if self._workers or self._store is not None:
-            # A configured triple store engages the engine too (at one
-            # worker); the engine's transcript equals this serial path's, so
-            # the switch is unobservable beyond the warm offline phase.
-            with self._telemetry.tracer.span(
-                "backend",
-                backend="faithful" if self._batch_size == 1 else "batched",
-                num_users=num_users,
-                batch_size=self._batch_size,
-                candidates=num_candidate_triples(num_users),
-            ) as backend_span:
-                result = self._count_parallel(share1, share2)
-                backend_span.annotate(opening_rounds=result.opening_rounds)
-            return result
         ring = self._ring
         dealer = self._dealer
+        total_candidates = num_candidate_triples(num_users)
         total1 = 0
         total2 = 0
         triples_processed = 0
@@ -291,7 +267,7 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         # depends only on the total candidate count and the limit — never on
         # the batch size — so the provisioned mask stream (and therefore
         # every opening) is identical across batch sizes.
-        to_provision = num_candidate_triples(num_users) if self._provision_limit else 0
+        to_provision = total_candidates if self._provision_limit else 0
 
         # One span for the whole backend step: per-triple spans would add
         # C(n, 3) nodes to the trace in faithful mode, so granularity stops
@@ -301,8 +277,10 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
             backend="faithful" if self._batch_size == 1 else "batched",
             num_users=num_users,
             batch_size=self._batch_size,
-            candidates=num_candidate_triples(num_users),
+            candidates=total_candidates,
         ) as backend_span:
+            if self._store is not None and to_provision:
+                to_provision = self._preload_stream(num_users, to_provision)
             for size, rows, cols in _gather_schedule(num_users, self._batch_size):
                 while to_provision and dealer.provisioned_remaining < size:
                     draw = min(to_provision, self._provision_limit)
@@ -334,132 +312,43 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
             opening_rounds=opening_rounds,
         )
 
-    # ------------------------------------------------------------------ #
-    # Block-parallel engine
-    # ------------------------------------------------------------------ #
-    def _run_block(
-        self,
-        size: int,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        group,
-        share1: np.ndarray,
-        share2: np.ndarray,
-    ) -> tuple:
-        """Online phase of one candidate block (pure given shares + group)."""
-        ring = self._ring
-        shard = ViewRecorder() if self._views is not None else None
-        gathered1 = share1[rows, cols].reshape(3, size)
-        gathered2 = share2[rows, cols].reshape(3, size)
-        product1, product2 = secure_multiply_triple(
-            (gathered1[0], gathered2[0]),
-            (gathered1[1], gathered2[1]),
-            (gathered1[2], gathered2[2]),
-            group,
-            ring=ring,
-            views=shard,
-            authenticator=self._authenticator,
-        )
-        return ring.sum(product1), ring.sum(product2), shard
+    def _preload_stream(self, num_users: int, to_provision: int) -> int:
+        """Fetch (or provision and store) the whole group stream up front.
 
-    def _count_parallel(self, share1: np.ndarray, share2: np.ndarray) -> CountResult:
-        """Fan candidate blocks out over a worker pool, in bounded waves.
-
-        The offline phase is fixed serially first: the provisioning chunk
-        sequence and the per-block group slices depend only on the schedule
-        (never on worker interleaving), so each block's correlated
-        randomness — and therefore each opening — is exactly what the serial
-        path produces.  Workers then evaluate blocks concurrently; block
-        subtotals reduce and view shards merge in canonical block order.
+        The provisioned stream is a deterministic function of (dealer seed,
+        candidate count, provision_limit), so it is storable; the loop then
+        consumes it exactly as it would a lazily provisioned one.  A stream
+        past the store's per-entry budget is left to the loop (bounded
+        memory) and simply not cached.  Returns the groups still to
+        provision.
         """
-        ring = self._ring
         dealer = self._dealer
-        num_users = share1.shape[0]
-        total_candidates = num_candidate_triples(num_users)
-        pool = WorkerPool(max(self._workers, 1))
-
-        to_provision = total_candidates if self._provision_limit else 0
-        # Offline reuse: the provisioned stream is a deterministic function
-        # of (dealer seed, total, provision_limit), so it is storable.  A
-        # stream past the store's per-entry budget is dealt lazily instead
-        # (bounded memory) and simply not cached.
-        stream_bytes = total_candidates * len(MG_FIELDS) * 2 * 8
-        use_store = (
-            self._store is not None and self._provision_limit and total_candidates
+        signature = TripleSignature(
+            statistic="triangles",
+            backend="faithful",
+            num_users=num_users,
+            geometry=(("provision_limit", self._provision_limit),),
+            ring_bits=self._ring.bits,
+            dealer_key=dealer.fingerprint(),
         )
-        if use_store:
-            signature = TripleSignature(
-                statistic="triangles",
-                backend="faithful",
-                num_users=num_users,
-                geometry=(("provision_limit", self._provision_limit),),
-                ring_bits=ring.bits,
-                dealer_key=dealer.fingerprint(),
-            )
-            with self._telemetry.tracer.span("offline") as offline_span:
-                stored = self._store.get(signature)
-                if stored is not None:
-                    dealer.import_pool(stored["blocks"])
-                    if dealer.provisioned_remaining != total_candidates:
-                        raise DealerError(
-                            f"stored group stream holds {dealer.provisioned_remaining} "
-                            f"groups but the run needs {total_candidates}"
-                        )
-                    to_provision = 0
-                elif self._store.accepts_bytes(stream_bytes):
-                    while to_provision:
-                        draw = min(to_provision, self._provision_limit)
-                        dealer.provision(draw)
-                        to_provision -= draw
-                    self._store.put(signature, {"blocks": dealer.export_pool()})
-                offline_span.annotate(groups=total_candidates)
-
-        total1 = 0
-        total2 = 0
-        triples_processed = 0
-        opening_rounds = 0
-        wave: list = []
-        wave_capacity = max(4 * self._workers, 1)
-
-        def flush() -> None:
-            nonlocal total1, total2
-            results = pool.map(
-                [
-                    (
-                        lambda s=size, r=rows, c=cols, g=group: self._run_block(
-                            s, r, c, g, share1, share2
-                        )
+        with self._telemetry.tracer.span("offline", groups=to_provision):
+            stored = self._store.get(signature)
+            if stored is not None:
+                dealer.import_pool(stored["blocks"])
+                if dealer.provisioned_remaining != to_provision:
+                    raise DealerError(
+                        f"stored group stream holds {dealer.provisioned_remaining} "
+                        f"groups but the run needs {to_provision}"
                     )
-                    for size, rows, cols, group in wave
-                ]
-            )
-            for sum1, sum2, shard in results:
-                total1 = ring.add(total1, sum1)
-                total2 = ring.add(total2, sum2)
-                if shard is not None:
-                    self._views.merge_from(shard)
-            wave.clear()
-
-        for size, rows, cols in _gather_schedule(num_users, self._batch_size):
-            while to_provision and dealer.provisioned_remaining < size:
+                return 0
+            if not self._store.accepts_bytes(to_provision * len(MG_FIELDS) * 2 * 8):
+                return to_provision
+            while to_provision:
                 draw = min(to_provision, self._provision_limit)
                 dealer.provision(draw)
                 to_provision -= draw
-            # The group slice is assigned serially, in schedule order: the
-            # masks a block carries depend only on its stream position.
-            group = dealer.vector_group((size,))
-            wave.append((size, rows, cols, group))
-            triples_processed += size
-            opening_rounds += 1
-            if len(wave) >= wave_capacity:
-                flush()
-        flush()
-        return CountResult(
-            share1=int(total1),
-            share2=int(total2),
-            num_triples_processed=triples_processed,
-            opening_rounds=opening_rounds,
-        )
+            self._store.put(signature, {"blocks": dealer.export_pool()})
+        return 0
 
 
 @register_backend("batched")
@@ -476,7 +365,6 @@ def _build_batched_backend(
         dealer=dealer,
         batch_size=config.batch_size,
         views=views,
-        workers=resolve_workers(config),
         triple_store=getattr(config, "triple_store", None),
         telemetry=resolve_telemetry(config),
         authenticator=authenticator,

@@ -94,23 +94,17 @@ class CargoConfig:
         Tile width of the blocked backend; peak memory per opening round is
         ``O(block_size^2)``.
     tile_window:
-        When set, the blocked backend deals, evaluates, and releases its
-        tile groups through a bounded window of at most this many groups at
-        a time, so peak offline-material memory is set by the window, not by
-        ``n``.  Transcripts are bit-identical to the unwindowed engine.
-        ``None`` (default) keeps the all-groups-at-once behaviour.
-    workers:
-        ``None`` (default) runs the exact legacy serial path.  Any integer
-        ``>= 1`` engages the tile-parallel engine
-        (:mod:`repro.parallel`) with that many worker threads; transcripts,
-        ledgers, and released counts are bit-identical for every value
-        ``>= 1``, so the knob is purely a wall-clock lever.
+        Chunk length, in tile groups, of the blocked backend's loop.  Each
+        chunk's material is dealt (or loaded warm from a *triple_store*, as
+        one entry) together, so chunked memory is set by the window, not by
+        ``n``; with a checkpoint the count is journalled after each chunk.
+        Transcripts are bit-identical for every value.  ``None`` (default)
+        makes the whole schedule one chunk; without a store it then deals
+        each tile triple just before use.
     triple_store:
-        Optional :class:`~repro.parallel.store.TripleStore` the engine uses
-        to memoise (and optionally persist) the offline phase's correlated
-        randomness, so repeated runs with the same dealer randomness skip
-        re-dealing.  Setting a store engages the engine even when *workers*
-        is unset (it then runs with one worker).
+        Optional :class:`~repro.parallel.store.TripleStore` that memoises
+        (and optionally persists) the offline phase's correlated randomness,
+        so repeated runs with the same dealer randomness skip re-dealing.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` bundle.  When set, the
         run records hierarchical spans and feeds the metrics registry
@@ -164,7 +158,7 @@ class CargoConfig:
         in-process engine; the run additionally reconciles the ledger
         against the bytes physically written and reports a ``transport``
         telemetry section.  Requires the ``triangles`` statistic and
-        rejects worker pools, triple stores, and tile windows — see
+        rejects triple stores and tile windows — see
         ``docs/distributed-runtime.md``.
 
     Examples
@@ -189,7 +183,6 @@ class CargoConfig:
     batch_size: int = 4096
     block_size: int = 128
     tile_window: Optional[int] = None
-    workers: Optional[int] = None
     triple_store: Optional[object] = field(default=None, compare=False, repr=False)
     telemetry: Optional[object] = field(default=None, compare=False, repr=False)
     resilience: Optional[object] = field(default=None, compare=False, repr=False)
@@ -206,11 +199,6 @@ class CargoConfig:
             object.__setattr__(self, "authenticate", True)
         if self.budget is None and self.epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be at least 1 (or None for the serial path), "
-                f"got {self.workers}"
-            )
         if not (0 < self.max_degree_fraction < 1):
             raise ConfigurationError(
                 f"max_degree_fraction must be in (0, 1), got {self.max_degree_fraction}"

@@ -86,11 +86,6 @@ class BeaverTripleDealer:
         self._vector_pool_size = 0
         self._vector_pool_cursor = 0
         self._matrix_pools: dict = {}
-        #: Optional hook computing the ``Z = X @ Y`` product of a fresh
-        #: matrix triple.  The parallel engine installs a row-striped pool
-        #: matmul here; the hook must be bit-identical to ``ring.matmul``
-        #: (row strips are), so installing it never changes a dealt value.
-        self.matmul = None
 
     @property
     def ring(self) -> Ring:
@@ -145,7 +140,7 @@ class BeaverTripleDealer:
     def absorb_accounting(self, issued: int, total_elements: int, largest_elements: int) -> None:
         """Fold a sub-dealer's (or a warm store batch's) tallies into this dealer.
 
-        The parallel engine deals tile material through per-tile sub-dealers
+        The blocked backend deals each tile group through its own sub-dealer
         (and skips dealing entirely on a warm store hit); either way the
         run-level accounting must read exactly as if this dealer had issued
         every triple itself.
@@ -194,11 +189,10 @@ class BeaverTripleDealer:
     def spawn_subdealers(self, count: int) -> list:
         """*count* dealers with independent substreams of this dealer's seed.
 
-        The tile-parallel engine gives every schedule unit its own
-        sub-dealer so tiles can be dealt concurrently, with each tile's
-        correlated randomness a deterministic function of (dealer seed, tile
-        index) — never of worker interleaving.  The spawn consumes no draws
-        from this dealer's own stream.
+        The blocked backend gives every tile group its own sub-dealer, so a
+        group's correlated randomness is a deterministic function of (dealer
+        seed, group index) — never of how the schedule is chunked, stored or
+        resumed.  The spawn consumes no draws from this dealer's own stream.
         """
         if count < 0:
             raise DealerError(f"count must be non-negative, got {count}")
@@ -388,11 +382,7 @@ class BeaverTripleDealer:
         ring = self._ring
         x = ring.random_array(left_shape, self._rng)
         y = ring.random_array(right_shape, self._rng)
-        # The derived product may be computed by the (bit-identical) parallel
-        # matmul hook; the masks themselves always come from this dealer's
-        # stream, so the dealt bytes are hook-independent.
-        z = (self.matmul or ring.matmul)(x, y)
-        return self._share_triple(x, y, z)
+        return self._share_triple(x, y, ring.matmul(x, y))
 
     def triangular_triple(self, n: int) -> BeaverTriplePair:
         """A matrix triple over the strict upper triangle of ``n x n`` matrices.

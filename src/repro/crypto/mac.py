@@ -188,10 +188,9 @@ class OpeningAuthenticator:
         Optional hook called with each :class:`OpeningRound` between tag
         issuance and the MAC check — the active-adversary injection point.
 
-    The authenticator is shared by all workers of a parallel count, so the
-    round counter and tag draws are guarded by a lock.  Round indices are
-    deterministic for serial runs; under a thread pool the *order* in which
-    rounds are checked (and hence their indices) may vary run to run.
+    The round counter and tag draws are guarded by a lock, so an
+    authenticator shared across threads stays consistent.  Every count runs
+    its openings in schedule order, so round indices are deterministic.
     """
 
     def __init__(

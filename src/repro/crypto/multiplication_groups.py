@@ -70,7 +70,7 @@ class MultiplicationGroupPair:
 
 
 #: Field names of a multiplication group in dealing order.  Public because
-#: size estimates elsewhere (e.g. the faithful engine's triple-store gate)
+#: size estimates elsewhere (e.g. the faithful backend's triple-store gate)
 #: are proportional to the field count.
 MG_FIELDS = ("x", "y", "z", "w", "o", "p", "q")
 _MG_FIELDS = MG_FIELDS

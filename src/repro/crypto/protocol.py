@@ -71,10 +71,9 @@ class CommunicationLedger:
     the noise-share upload exactly rather than reverse-engineering the split
     from message sizes.
 
-    Appends are serialised with a lock so concurrent senders (worker threads
-    of the tile-parallel engine, parallel sweep trials sharing a runtime)
-    cannot lose counter increments; totals are therefore exact for any
-    worker count.
+    Appends are serialised with a lock so concurrent senders (parallel
+    sweep trials sharing a runtime) cannot lose counter increments; totals
+    are therefore exact.
     """
 
     messages: Dict[str, int] = field(default_factory=lambda: defaultdict(int))

@@ -228,16 +228,15 @@ def secure_matrix_multiply(
     per server).
 
     *matmul* optionally overrides how the servers evaluate their *local*
-    matrix products (the parallel engine passes a row-striped pool matmul);
-    it must be bit-identical to ``ring.matmul``, so the openings — the only
-    values that cross the wire — are unaffected.
+    matrix products; it must be bit-identical to ``ring.matmul``, so the
+    openings — the only values that cross the wire — are unaffected.
     """
     t1, t2 = triple.server1, triple.server2
     e1, f1 = matrix_beaver_differences(1, a_shares[0], b_shares[0], t1, ring)
     e2, f2 = matrix_beaver_differences(2, a_shares[1], b_shares[1], t2, ring)
     e, f = _open_pair(e1, f1, e2, f2, ring, views, authenticator)
     del e1, f1, e2, f2  # four operand-sized arrays, dead before the products
-    # In-process triples may be shared with a triple store or a pool, so
+    # In-process triples may be shared with a triple store, so
     # server 2 must not form <Y> + F in place (owned stays False).
     share1 = matrix_beaver_share(1, e, f, t1, ring, matmul=matmul)
     share2 = matrix_beaver_share(2, e, f, t2, ring, matmul=matmul)

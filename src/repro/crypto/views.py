@@ -55,13 +55,11 @@ class ProtocolView:
 class ViewRecorder:
     """Collects the views of both servers for one protocol execution.
 
-    Appends are serialised with a lock so concurrent protocol stages (the
-    tile-parallel engine, parallel sweep trials sharing a recorder) cannot
-    corrupt the entry lists.  A lock alone cannot make the *order* of
-    concurrent appends deterministic, so the parallel engine records each
-    unit of work into its own shard and merges the shards in canonical
-    schedule order via :meth:`merge_from` — which is what keeps recorded
-    transcripts bit-identical for any worker count.
+    Appends are serialised with a lock so concurrent protocol stages
+    (parallel sweep trials sharing a recorder) cannot corrupt the entry
+    lists.  The blocked backend records each tile group into its own shard
+    and merges it via :meth:`merge_from` once the group completes, so a
+    retried group leaves no partial entries.
     """
 
     def __init__(self) -> None:
@@ -93,10 +91,9 @@ class ViewRecorder:
     def merge_from(self, shard: "ViewRecorder") -> None:
         """Append every entry of *shard* (both servers), preserving its order.
 
-        The parallel engine calls this once per unit of work, in canonical
-        schedule order, after all workers have finished — so the merged
-        recorder is indistinguishable from one written by a serial run of
-        the same schedule.
+        The blocked backend calls this once per tile group, in canonical
+        schedule order — so the merged recorder is indistinguishable from
+        one written directly by the same schedule.
 
         A malformed *shard* — not a recorder at all, or a recorder whose
         per-server structure was tampered with (missing server, entries for

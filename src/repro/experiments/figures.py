@@ -49,7 +49,6 @@ def figure5_l2_vs_epsilon(
     seed: int = 0,
     max_workers: Optional[int] = None,
     counting_backend: Optional[object] = None,
-    workers: Optional[int] = None,
     distributed: Optional[bool] = None,
 ) -> ExperimentReport:
     """Figure 5 — l2 loss of triangle counting as ε varies from 0.5 to 3."""
@@ -60,7 +59,6 @@ def figure5_l2_vs_epsilon(
         seed=seed,
         max_workers=max_workers,
         counting_backend=counting_backend,
-        workers=workers,
         distributed=distributed,
     )
     report = sweep.run_epsilon_sweep(epsilons)
@@ -77,7 +75,6 @@ def figure6_relative_error_vs_epsilon(
     seed: int = 0,
     max_workers: Optional[int] = None,
     counting_backend: Optional[object] = None,
-    workers: Optional[int] = None,
     distributed: Optional[bool] = None,
 ) -> ExperimentReport:
     """Figure 6 — relative error of triangle counting as ε varies.
@@ -88,7 +85,7 @@ def figure6_relative_error_vs_epsilon(
     """
     report = figure5_l2_vs_epsilon(
         datasets, epsilons, num_nodes, num_trials, seed, max_workers, counting_backend,
-        workers, distributed,
+        distributed,
     )
     report.name = "fig6"
     report.description = "relative error vs epsilon (CARGO vs CentralLap vs Local2Rounds)"
@@ -107,7 +104,6 @@ def figure7_l2_vs_n(
     seed: int = 0,
     max_workers: Optional[int] = None,
     counting_backend: Optional[object] = None,
-    workers: Optional[int] = None,
     distributed: Optional[bool] = None,
 ) -> ExperimentReport:
     """Figure 7 — l2 loss as the number of users n grows (ε = 2)."""
@@ -117,7 +113,6 @@ def figure7_l2_vs_n(
         seed=seed,
         max_workers=max_workers,
         counting_backend=counting_backend,
-        workers=workers,
         distributed=distributed,
     )
     report = sweep.run_user_sweep(user_counts, epsilon)
@@ -134,13 +129,12 @@ def figure8_relative_error_vs_n(
     seed: int = 0,
     max_workers: Optional[int] = None,
     counting_backend: Optional[object] = None,
-    workers: Optional[int] = None,
     distributed: Optional[bool] = None,
 ) -> ExperimentReport:
     """Figure 8 — relative error as the number of users n grows (ε = 2)."""
     report = figure7_l2_vs_n(
         datasets, user_counts, epsilon, num_trials, seed, max_workers, counting_backend,
-        workers, distributed,
+        distributed,
     )
     report.name = "fig8"
     report.description = f"relative error vs number of users (epsilon={epsilon})"

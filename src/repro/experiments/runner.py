@@ -83,7 +83,7 @@ def default_protocols(
     *counting_backend* (an enum member or registered name) selects CARGO's
     secure counting backend; ``None`` keeps the config default.
     *cargo_overrides* passes additional :class:`CargoConfig` fields through
-    to the CARGO runs only (``workers``, ``offline_seed``, ``triple_store``,
+    to the CARGO runs only (``sparse``, ``offline_seed``, ``triple_store``,
     …); the baselines have no secure phase to tune.
     """
     cargo_kwargs = {} if counting_backend is None else {"counting_backend": counting_backend}
@@ -243,17 +243,14 @@ class ProtocolSweep:
     counting_backend:
         Secure counting backend for the CARGO runs in the sweep (enum member
         or registered name); ``None`` keeps the config default.
-    workers:
-        Per-run worker threads for each CARGO cell's secure count
-        (``CargoConfig(workers=...)``); ``None`` keeps the serial path.
     sparse:
         Degree-local execution policy for the CARGO cells
         (``CargoConfig(sparse=...)``: ``auto`` / ``never`` / ``force``);
         ``None`` keeps the config default.
     tile_window:
-        Bounded tile window for the blocked backend's offline material
-        (``CargoConfig(tile_window=...)``); ``None`` keeps the
-        all-groups-at-once behaviour.
+        Chunk length of the blocked backend's loop
+        (``CargoConfig(tile_window=...)``); ``None`` keeps the config
+        default.
     distributed:
         When ``True`` every CARGO cell runs on the process-separated
         runtime (``CargoConfig(distributed=...)``): dealer and servers as
@@ -284,7 +281,6 @@ class ProtocolSweep:
     max_workers: Optional[int] = None
     use_processes: bool = False
     counting_backend: Optional[Any] = None
-    workers: Optional[int] = None
     sparse: Optional[str] = None
     tile_window: Optional[int] = None
     distributed: Optional[bool] = None
@@ -377,8 +373,6 @@ class ProtocolSweep:
     def _cargo_overrides(self, for_process: bool = False) -> Dict[str, Any]:
         """Extra :class:`CargoConfig` fields the sweep applies to CARGO cells."""
         overrides: Dict[str, Any] = {}
-        if self.workers is not None:
-            overrides["workers"] = self.workers
         if self.sparse is not None:
             overrides["sparse"] = self.sparse
         if self.tile_window is not None:

@@ -32,7 +32,6 @@ def single_release(
     counting_backend: Optional[str] = None,
     statistic: Optional[str] = None,
     star_k: Optional[int] = None,
-    workers: Optional[int] = None,
     sparse: Optional[str] = None,
     tile_window: Optional[int] = None,
     authenticate: bool = False,
@@ -66,7 +65,6 @@ def single_release(
         **({} if counting_backend is None else {"counting_backend": counting_backend}),
         **({} if statistic is None else {"statistic": statistic}),
         **({} if star_k is None else {"star_k": star_k}),
-        **({} if workers is None else {"workers": workers}),
         **({} if sparse is None else {"sparse": sparse}),
         **({} if tile_window is None else {"tile_window": tile_window}),
     )

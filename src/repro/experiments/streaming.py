@@ -30,7 +30,6 @@ def streaming_accuracy_over_time(
     counting_backend: Optional[str] = None,
     statistic: Optional[str] = None,
     star_k: Optional[int] = None,
-    workers: Optional[int] = None,
     seed: int = 0,
     telemetry: Optional[object] = None,
     resilience: Optional[object] = None,
@@ -54,7 +53,6 @@ def streaming_accuracy_over_time(
         **({} if counting_backend is None else {"counting_backend": counting_backend}),
         **({} if statistic is None else {"statistic": statistic}),
         **({} if star_k is None else {"star_k": star_k}),
-        **({} if workers is None else {"workers": workers}),
         telemetry=telemetry,
         resilience=resilience,
     )

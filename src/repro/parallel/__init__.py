@@ -1,30 +1,19 @@
-"""Parallel execution engine for the secure protocol.
+"""Reusable offline phase for the secure protocol.
 
-The online phase of every counting backend decomposes into independent units
-of work — ``(I, J, K)`` tiles for the blocked matrix formulation, candidate
-blocks for the faithful/batched schedule, row strips of the local matrix
-products for the monolithic matrix backend.  This package provides the two
-pieces that turn that decomposition into a multicore engine without changing
-a single value on the wire:
+The dealers' correlated randomness is a deterministic function of the dealer
+seed and the run geometry, so :class:`~repro.parallel.store.TripleStore`
+memoises it under a :class:`~repro.parallel.store.TripleSignature` and serves
+it back to repeated runs, sweep cells, and streaming anchors, skipping the
+re-deal entirely (and optionally persisting batches to disk).
+:class:`~repro.parallel.store.MaterialSequence` guards a fetched batch
+against schedule drift.
 
-* :class:`~repro.parallel.pool.WorkerPool` — a deterministic fan-out of
-  independent tasks onto a thread pool.  Results always come back in task
-  order, reductions happen in a fixed canonical order, and per-task
-  :class:`~repro.crypto.views.ViewRecorder` shards are merged in schedule
-  order, so transcripts, ledgers, and released counts are bit-identical for
-  any worker count (``tests/test_parallel_engine.py`` proves it).
-* :class:`~repro.parallel.store.TripleStore` — a reusable offline phase.
-  The dealers' correlated randomness is a deterministic function of the
-  dealer seed and the run geometry, so the store memoises it under a
-  :class:`~repro.parallel.store.TripleSignature` and serves it back to
-  repeated runs, sweep cells, and streaming anchors, skipping the re-deal
-  entirely (and optionally persisting batches to disk).
-
-Select the engine with ``CargoConfig(workers=...)`` (CLI ``--workers``); the
-default ``workers=None`` keeps the exact legacy serial path.
+Set the store with ``CargoConfig(triple_store=...)``.  Process-level
+parallelism lives elsewhere: sweep cells fan out over a process pool
+(:class:`~repro.experiments.runner.ProtocolSweep` ``max_workers``), and the
+protocol parties can run as separate OS processes (:mod:`repro.runtime`).
 """
 
-from repro.parallel.pool import WorkerPool, resolve_workers
 from repro.parallel.store import (
     MaterialSequence,
     TripleSignature,
@@ -33,8 +22,6 @@ from repro.parallel.store import (
 )
 
 __all__ = [
-    "WorkerPool",
-    "resolve_workers",
     "MaterialSequence",
     "TripleSignature",
     "TripleStore",

@@ -171,9 +171,9 @@ class TripleSignature:
 
 
 class MaterialSequence:
-    """Ordered dealt material served to concurrent workers by index.
+    """Ordered dealt material served by schedule index.
 
-    A thin exhaustion guard: workers address their slice by schedule index,
+    A thin exhaustion guard: consumers address their slice by schedule index,
     and any mismatch between the schedule and the stored material — a
     truncated batch, a geometry drift, an index past the end — raises an
     explicit :class:`~repro.exceptions.DealerError` instead of silently

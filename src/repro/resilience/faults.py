@@ -3,7 +3,7 @@
 The resilience layer treats failures as first-class, *reproducible* events: a
 :class:`FaultPlan` is a seeded schedule of faults pinned to named **sites** —
 the fallible boundaries the runtime crosses (triple-store disk reads, dealer
-provisioning, worker-pool tile tasks, stream anchor execution, checkpoint and
+provisioning, blocked tile-group tasks, stream anchor execution, checkpoint and
 export writes).  Each site calls :func:`fault_point` on every invocation;
 with no plan installed that is a single global read and the runtime behaves
 exactly as before.  With a plan installed, the *n*-th invocation of a site
@@ -154,7 +154,7 @@ class FaultPlan:
     """A deterministic schedule of faults over the registered sites.
 
     Thread-safe: per-site invocation counters are lock-protected, so sites
-    exercised from worker threads (pool tasks, parallel dealing) still count
+    exercised from several threads (parallel sweep trials) still count
     invocations exactly once each.
     """
 

@@ -106,11 +106,6 @@ def _validate_distributed_config(config: CargoConfig) -> None:
             "sparse='force' has no distributed execution path (triangles "
             "never run sparse)"
         )
-    if getattr(config, "workers", None):
-        raise ConfigurationError(
-            "in-process worker pools cannot cross the process boundary; "
-            "unset workers for distributed runs"
-        )
     if getattr(config, "triple_store", None) is not None:
         raise ConfigurationError(
             "triple stores are not supported by the distributed runtime; "

@@ -10,9 +10,10 @@ frames (one frame per opening round, never one per element).
 
 Bit-exactness contract
 ----------------------
-The count loops below mirror the *serial* paths of the in-process backends
+The count loops below mirror the in-process backends
 (:mod:`repro.core.backends.faithful` / ``matrix`` / ``blocked``) statement
-for statement: the same gather schedule, the same tile order, the same ring
+for statement: the same gather schedule, the same tile schedule
+(:func:`~repro.core.backends.blocked.tile_schedule`), the same ring
 operations in the same order.  The per-role Beaver combinations are the
 in-process ones (:func:`~repro.crypto.secure_ops.beaver_share`,
 :func:`~repro.crypto.secure_ops.matrix_beaver_share`,
@@ -42,6 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.backends.base import num_candidate_triples
+from repro.core.backends.blocked import strict_upper_mask, tile_schedule, upper_block
 from repro.core.backends.faithful import _gather_schedule
 from repro.crypto.beaver import BeaverTriple
 from repro.crypto.mac import MacKey, _TAG_DOMAIN
@@ -323,21 +325,8 @@ def _recv_triple(endpoint: WireEndpoint, label: str) -> BeaverTriple:
 
 
 # ---------------------------------------------------------------------- #
-# Count phase — one role's half of each serial backend schedule
+# Count phase — one role's half of each backend schedule
 # ---------------------------------------------------------------------- #
-def _strict_upper_mask(ring, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    rows = np.arange(r0, r1, dtype=np.int64)[:, None]
-    cols = np.arange(c0, c1, dtype=np.int64)[None, :]
-    return (rows < cols).astype(ring.dtype)
-
-
-def _upper_block(ring, shares: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    block = shares[r0:r1, c0:c1]
-    if r1 <= c0:
-        return block
-    return ring.mul(block, _strict_upper_mask(ring, r0, r1, c0, c1))
-
-
 def _count_mg(dealer_ep, channel, ring, share, role, batch_size, views, tracer):
     """The faithful/batched schedule for this role's share matrix."""
     num_users = share.shape[0]
@@ -383,49 +372,36 @@ def _count_matrix(dealer_ep, channel, ring, share, role, views, tracer):
 
 
 def _count_blocked(dealer_ep, channel, ring, share, role, block_size, views, tracer):
-    """The blocked (tiled) serial schedule for this role's share matrix."""
+    """The blocked backend's tile schedule for this role's share matrix."""
     n = share.shape[0]
     if n < 3:
         return 0, 0, 0
-    blocks = [(start, min(start + block_size, n)) for start in range(0, n, block_size)]
     total = 0
     opening_rounds = 0
     with tracer.span(
         "backend", backend="blocked", num_users=n, block_size=block_size
     ) as backend_span:
-        for j0, j1 in blocks:
-            for k0, k1 in blocks:
-                if j0 >= k1 - 1:
-                    continue
-                rows_j = j1 - j0
-                cols_k = k1 - k0
-                with tracer.span("tile_group", j0=j0, k0=k0) as group_span:
-                    m = np.zeros((rows_j, cols_k), dtype=ring.dtype)
-                    group_rounds = 0
-                    for i0, i1 in blocks:
-                        if i0 >= j1 - 1:
-                            continue
-                        left = np.ascontiguousarray(
-                            _upper_block(ring, share, i0, i1, j0, j1).T
-                        )
-                        right = _upper_block(ring, share, i0, i1, k0, k1)
-                        tile_triple = _recv_triple(dealer_ep, "matrix_triple")
-                        partial = _matrix_multiply(
-                            channel, role, ring, left, right, tile_triple, views
-                        )
-                        m = ring.add(m, partial)
-                        group_rounds += 1
-                    tile_mask = _strict_upper_mask(ring, j0, j1, k0, k1)
-                    c_tile = _upper_block(ring, share, j0, j1, k0, k1)
-                    elementwise_triple = _recv_triple(dealer_ep, "vector_triple")
-                    prod = _multiply_pair(
-                        channel, role, ring, c_tile, ring.mul(m, tile_mask),
-                        elementwise_triple, views,
+        for j0, j1, k0, k1, i_tiles in tile_schedule(n, block_size):
+            group_rounds = len(i_tiles) + 1
+            with tracer.span("tile_group", j0=j0, k0=k0, opening_rounds=group_rounds):
+                m = np.zeros((j1 - j0, k1 - k0), dtype=ring.dtype)
+                for i0, i1 in i_tiles:
+                    left = np.ascontiguousarray(upper_block(ring, share, i0, i1, j0, j1).T)
+                    right = upper_block(ring, share, i0, i1, k0, k1)
+                    tile_triple = _recv_triple(dealer_ep, "matrix_triple")
+                    partial = _matrix_multiply(
+                        channel, role, ring, left, right, tile_triple, views
                     )
-                    total = ring.add(total, ring.sum(prod))
-                    group_rounds += 1
-                    group_span.annotate(opening_rounds=group_rounds)
-                opening_rounds += group_rounds
+                    m = ring.add(m, partial)
+                tile_mask = strict_upper_mask(ring, j0, j1, k0, k1)
+                c_tile = upper_block(ring, share, j0, j1, k0, k1)
+                elementwise_triple = _recv_triple(dealer_ep, "vector_triple")
+                prod = _multiply_pair(
+                    channel, role, ring, c_tile, ring.mul(m, tile_mask),
+                    elementwise_triple, views,
+                )
+                total = ring.add(total, ring.sum(prod))
+            opening_rounds += group_rounds
         backend_span.annotate(opening_rounds=opening_rounds)
     return int(total), num_candidate_triples(n), opening_rounds
 

@@ -54,7 +54,6 @@ from repro.crypto.secure_ops import secure_matrix_multiply, secure_multiply_pair
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ProtocolError
 from repro.graph.graph import Graph
-from repro.parallel import WorkerPool, resolve_workers
 from repro.stats.base import SubgraphStatistic, validate_projected_rows
 from repro.stats.registry import register_statistic
 from repro.telemetry import resolve_telemetry
@@ -210,17 +209,6 @@ class FourCycleStatistic(SubgraphStatistic):
             return CountResult(share1=0, share2=0, num_triples_processed=0, opening_rounds=0)
 
         dealer = BeaverTripleDealer(ring=ring, seed=dealer_rng)
-        # Worker-count neutrality: with workers configured, the dealer's
-        # Z = X @ Y products and the servers' local matrix products run as
-        # row-striped pool matmuls.  Row strips are bit-identical to the
-        # serial product and the dealing order is unchanged, so the
-        # transcript is the same for every worker count (including none).
-        workers = resolve_workers(config)
-        matmul = None
-        if workers:
-            pool = WorkerPool(workers)
-            matmul = pool.ring_matmul(ring)
-            dealer.matmul = matmul
         tracer = resolve_telemetry(config).tracer
         backend = resolve_backend_name(getattr(config, "counting_backend", "matrix"))
         if backend in ("faithful", "batched"):
@@ -249,8 +237,7 @@ class FourCycleStatistic(SubgraphStatistic):
             candidates=self.num_candidates(n),
         ) as span:
             result = self._count_matrix(
-                share1, share2, ring, dealer, tile, views, matmul=matmul,
-                authenticator=authenticator,
+                share1, share2, ring, dealer, tile, views, authenticator=authenticator
             )
             span.annotate(opening_rounds=result.opening_rounds)
         return result
@@ -295,7 +282,7 @@ class FourCycleStatistic(SubgraphStatistic):
         return m1, m2, rounds
 
     def _count_matrix(
-        self, share1, share2, ring, dealer, tile, views, matmul=None, authenticator=None
+        self, share1, share2, ring, dealer, tile, views, authenticator=None
     ) -> CountResult:
         """Matrix-formulation path: ``W = A @ A`` then ``W ⊙ (W - 1)`` upper-summed."""
         n = share1.shape[0]
@@ -310,7 +297,7 @@ class FourCycleStatistic(SubgraphStatistic):
         if tile >= n:
             triple = dealer.matrix_triple((n, n), (n, n))
             w1, w2 = secure_matrix_multiply(
-                (a1, a2), (a1, a2), triple, ring=ring, views=views, matmul=matmul,
+                (a1, a2), (a1, a2), triple, ring=ring, views=views,
                 authenticator=authenticator,
             )
             rounds += 1
@@ -337,7 +324,7 @@ class FourCycleStatistic(SubgraphStatistic):
                         )
                         triple = dealer.matrix_triple((j1 - j0, i1 - i0), (i1 - i0, k1 - k0))
                         partial1, partial2 = secure_matrix_multiply(
-                            left, right, triple, ring=ring, views=views, matmul=matmul,
+                            left, right, triple, ring=ring, views=views,
                             authenticator=authenticator,
                         )
                         acc1 = ring.add(acc1, partial1)

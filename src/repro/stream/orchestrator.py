@@ -165,10 +165,6 @@ class StreamingConfig:
     ring / block_size / batch_size:
         Backend construction parameters, mirroring
         :class:`~repro.core.config.CargoConfig`.
-    workers:
-        ``None`` keeps the serial anchor path; ``>= 1`` runs each anchor's
-        secure count through the tile-parallel engine with that many worker
-        threads (released estimates are identical either way).
     sparse:
         Degree-local anchor policy, mirroring ``CargoConfig.sparse``:
         ``"auto"`` (the default) runs anchors for degree statistics
@@ -239,7 +235,6 @@ class StreamingConfig:
     ring: Ring = DEFAULT_RING
     block_size: int = 128
     batch_size: int = 4096
-    workers: Optional[int] = None
     sparse: str = "auto"
     memory_mode: str = "full"
     neighbor_cap: Optional[int] = None
@@ -253,11 +248,6 @@ class StreamingConfig:
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be at least 1 (or None for the serial path), "
-                f"got {self.workers}"
-            )
         if self.release_every <= 0:
             raise ConfigurationError(
                 f"release_every must be positive, got {self.release_every}"

@@ -3,9 +3,8 @@
 The package has three accumulation surfaces and three exports:
 
 * :class:`Tracer` / :class:`Span` — the hierarchical span tree
-  (run → phase → backend step / tile group / stream anchor), thread-safe
-  under the worker pool via the same shard-merge discipline as
-  :class:`~repro.crypto.views.ViewRecorder`;
+  (run → phase → backend step / tile group / stream anchor), with the
+  same shard-merge discipline as :class:`~repro.crypto.views.ViewRecorder`;
 * :class:`MetricsRegistry` — labelled counters/gauges/histograms fed by the
   protocol (bytes and messages per phase, triples dealt, store hit/miss,
   opening rounds, ε per ledger entry, stream events and anchor latency);

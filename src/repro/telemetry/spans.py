@@ -5,12 +5,11 @@ backend step / tile group / stream anchor — each carrying wall-clock
 seconds, free-form attributes, counter increments, and (when ``tracemalloc``
 is already tracing) the traced-allocation delta across the span.
 
-Concurrency follows the same shard-merge discipline as
-:class:`~repro.crypto.views.ViewRecorder`: worker threads never touch the
-parent tracer directly.  Each unit of work records into a private shard
-(:meth:`Tracer.shard`) and the coordinator merges the shards back in
-canonical schedule order (:meth:`Tracer.merge_shard`), so the resulting
-tree is bit-identical for any worker count.
+Retryable units of work follow the same shard-merge discipline as
+:class:`~repro.crypto.views.ViewRecorder`: each records into a private shard
+(:meth:`Tracer.shard`) that is merged back in canonical schedule order
+(:meth:`Tracer.merge_shard`) once the unit completes, so a retried attempt
+leaves no partial spans.
 
 A disabled tracer (``Tracer(enabled=False)``, or the shared
 :data:`NULL_TRACER`) is a true no-op: ``span()`` hands back one shared,
@@ -97,7 +96,7 @@ class Span:
         Names, attributes, and children — everything except wall-clock
         seconds and memory deltas, which vary run to run.  Two runs that
         executed the same schedule compare equal under ``structure()``
-        regardless of host speed or worker count.
+        regardless of host speed.
         """
         return {
             "name": self.name,
@@ -130,13 +129,13 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Produces the span tree for one run (or one worker shard of it).
+    """Produces the span tree for one run (or one shard of it).
 
     Span stacks are thread-local, so a tracer is safe to *hold* across
     threads — but spans opened on different threads never nest into each
-    other.  Parallel sections instead record into per-unit shards
-    (:meth:`shard`) that the coordinating thread merges back in canonical
-    order (:meth:`merge_shard`), mirroring ``ViewRecorder.merge_from``.
+    other.  Retryable units of work record into per-unit shards
+    (:meth:`shard`) that the caller merges back in canonical order
+    (:meth:`merge_shard`), mirroring ``ViewRecorder.merge_from``.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -183,14 +182,14 @@ class Tracer:
         return stack[-1] if stack else None
 
     # ------------------------------------------------------------------ #
-    # Shard-merge discipline (parallel sections)
+    # Shard-merge discipline (retryable units of work)
     # ------------------------------------------------------------------ #
     def shard(self) -> "Tracer":
-        """A private tracer for one unit of parallel work.
+        """A private tracer for one unit of work.
 
-        Workers record into their shard; the coordinator merges the shards
-        back in canonical schedule order, so the final tree is independent
-        of worker count and completion order.
+        The unit records into its shard and the caller merges the shard
+        once the unit completes, in canonical schedule order, so a failed
+        and retried attempt leaves no spans behind.
         """
         if not self.enabled:
             return NULL_TRACER

@@ -13,11 +13,9 @@ statistic and assert the only possible outcomes are
 
 never a silently wrong released count.
 
-Round indices are deterministic for serial runs (``workers=None``), which is
-what the corruption matrix relies on to target, say, "the second Beaver
-opening of the blocked backend".  Under a thread pool the order in which
-rounds reach the authenticator may vary, so corruption-targeting runs must
-stay serial.
+Every count runs its openings in schedule order, so round indices are
+deterministic, which is what the corruption matrix relies on to target, say,
+"the second Beaver opening of the blocked backend".
 
 Examples
 --------

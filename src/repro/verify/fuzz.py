@@ -9,8 +9,8 @@ that every PR so far has pinned with hand-written tests:
    bit-identical noisy count for the same seed;
 3. **honest-authentication bit-identity** — ``authenticate=True`` changes
    nothing about an honest release except that its openings are MAC-checked;
-4. **worker invariance** — the tile-parallel engine's transcripts and
-   counts match the serial path for any worker count;
+4. **window invariance** — a blocked ``tile_window`` only chunks the one
+   count loop, so its count and transcript equal the unwindowed run's;
 5. **manifest validity** — a traced run's manifest validates against the
    schema and its ledger reconciles against the metric counters;
 6. **wire round-trip** — every distributed-runtime frame kind
@@ -20,8 +20,8 @@ that every PR so far has pinned with hand-written tests:
 
 Hand-written tests pin these at a few points of the configuration space;
 this harness samples the space: a seeded, dependency-free generator draws
-random graphs × statistics × backends × {workers, sparse, tile_window,
-block/batch size} cases and checks all six invariants on each.  Every
+random graphs × statistics × backends × {sparse, tile_window, block/batch
+size} cases and checks all six invariants on each.  Every
 failure report embeds the case's JSON, so ``FuzzCase.from_json(...)`` +
 :func:`run_case` replays it exactly — same seed, same cases, same verdicts.
 
@@ -75,7 +75,6 @@ class FuzzCase:
     edge_probability: float
     statistic: str
     backend: str
-    workers: Optional[int] = None
     sparse: str = "auto"
     tile_window: Optional[int] = None
     block_size: int = 128
@@ -88,7 +87,6 @@ class FuzzCase:
             seed=self.seed,
             statistic=self.statistic,
             counting_backend=self.backend,
-            workers=self.workers,
             sparse=self.sparse,
             tile_window=self.tile_window,
             block_size=self.block_size,
@@ -124,7 +122,7 @@ def draw_case(rng, index: int) -> FuzzCase:
 
     Bounds keep a ~200-case CI budget under a minute: the faithful backend
     (O(n³) scalar rounds) only sees small graphs, and the blocked backend's
-    knobs (block size, tile window, workers) are only drawn when they do
+    knobs (block size, tile window) are only drawn when they do
     something.
     """
     statistic = _STATISTICS[int(rng.integers(len(_STATISTICS)))]
@@ -138,8 +136,6 @@ def draw_case(rng, index: int) -> FuzzCase:
         kwargs["block_size"] = int(rng.choice((4, 8, 16)))
         if rng.random() < 0.5:
             kwargs["tile_window"] = int(rng.choice((1, 2)))
-        if rng.random() < 0.5:
-            kwargs["workers"] = int(rng.choice((1, 2)))
     if backend == "batched":
         kwargs["batch_size"] = int(rng.choice((16, 64, 4096)))
     if statistic == "kstars":
@@ -292,7 +288,7 @@ def run_case(case: FuzzCase) -> List[str]:
                 CargoConfig(
                     epsilon=epsilon,
                     **case.config_kwargs(
-                        counting_backend="matrix", workers=None, tile_window=None
+                        counting_backend="matrix", tile_window=None
                     ),
                 ),
             )
@@ -317,40 +313,27 @@ def run_case(case: FuzzCase) -> List[str]:
         if authenticator.rounds_checked < 1:
             problems.append("authenticated run checked zero opening rounds")
 
-        # 4. Worker invariance.  The released count is worker-independent
-        # outright (serial included); the *transcript* is pinned within the
-        # tile-parallel engine only (workers=N vs workers=1), because the
-        # engine deals each group from its own sub-dealer substream while
-        # the serial path draws from one sequential dealer stream — same
-        # count, different (equally valid) correlated randomness.
-        if case.workers is not None:
-            serial_count, _ = _release(
+        # 4. Window invariance: a tile window only chunks the blocked
+        # backend's one loop, and every group draws from its own sub-dealer
+        # substream, so the windowed transcript equals the unwindowed one.
+        if case.tile_window is not None:
+            whole_count, whole_views = _release(
                 graph,
                 CargoConfig(
                     epsilon=epsilon,
                     record_views=True,
-                    **case.config_kwargs(workers=None),
+                    **case.config_kwargs(tile_window=None),
                 ),
             )
-            if serial_count != count:
+            if whole_count != count:
                 problems.append(
-                    f"workers={case.workers} released {count}, serial {serial_count}"
+                    f"tile_window={case.tile_window} released {count}, "
+                    f"unwindowed {whole_count}"
                 )
-            one_count, one_views = _release(
-                graph,
-                CargoConfig(
-                    epsilon=epsilon,
-                    record_views=True,
-                    **case.config_kwargs(workers=1),
-                ),
-            )
-            if one_count != count:
+            elif not transcripts_equal(views, whole_views):
                 problems.append(
-                    f"workers={case.workers} released {count}, workers=1 {one_count}"
-                )
-            elif not transcripts_equal(views, one_views):
-                problems.append(
-                    f"workers={case.workers} transcript differs from workers=1"
+                    f"tile_window={case.tile_window} transcript differs from "
+                    "tile_window=None"
                 )
 
         # 5. Manifest validity + ledger reconciliation on a traced run.

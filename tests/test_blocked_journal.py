@@ -37,7 +37,6 @@ def _config(resilience=None, **overrides):
         counting_backend=CountingBackend.BLOCKED,
         block_size=16,
         tile_window=2,
-        workers=2,
         seed=123,
         record_views=True,
         track_communication=True,
@@ -155,16 +154,15 @@ def test_checkpoint_every_throttles_saves(tmp_path):
 
 
 def test_serial_windowed_run_also_journals(tmp_path):
-    # workers=1 exercises the inline (non-executor) pool path.
     graph = _graph(num_nodes=40)
-    ref_cargo = Cargo(_config(workers=1))
+    ref_cargo = Cargo(_config())
     reference = ref_cargo.run(graph)
     ckpt = tmp_path / "tiles.ckpt"
     resilience = ResilienceConfig(checkpoint_path=ckpt, resume=True)
     plan = FaultPlan([FaultSpec("pool.task", FaultKind.CRASH, at=3)])
     with install_fault_plan(plan):
         with pytest.raises(InjectedCrash):
-            Cargo(_config(resilience, workers=1)).run(graph)
-    out_cargo = Cargo(_config(resilience, workers=1))
+            Cargo(_config(resilience)).run(graph)
+    out_cargo = Cargo(_config(resilience))
     resumed = out_cargo.run(graph)
     _assert_transcripts_match(ref_cargo, reference, out_cargo, resumed)

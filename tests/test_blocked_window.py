@@ -50,7 +50,6 @@ def _run(shares, tile_window=None, store=None, record_views=True, seed=0):
         dealer=BeaverTripleDealer(seed=seed),
         block_size=BLOCK_SIZE,
         views=views,
-        workers=1,
         triple_store=store,
         tile_window=tile_window,
     )

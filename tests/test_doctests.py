@@ -37,7 +37,6 @@ DOCTEST_MODULES = (
     "repro.stats.kstars",
     "repro.stats.four_cycles",
     "repro.stats.derived",
-    "repro.parallel.pool",
     "repro.parallel.store",
     "repro.runtime.wire",
     "repro.resilience.faults",

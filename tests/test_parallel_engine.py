@@ -1,18 +1,10 @@
-"""Tile-parallel engine: bit-identical transcripts for any worker count.
+"""Telemetry determinism, recorder thread-safety and triple-store reuse.
 
-The engine's claim is strong: enabling ``workers`` (and any value of it)
-changes *nothing observable* — released counts, communication ledgers, and
-recorded per-server views are bit-identical for workers ∈ {1, 2, 4} on every
-backend and every registered statistic.  For the matrix and faithful/batched
-backends the engine transcript additionally equals the legacy serial path's
-(same dealer draw order); the blocked engine deals from per-tile substreams,
-so its transcript is pinned across worker counts (and its reconstructed
-count to the legacy value).
-
-Also covered here: the worker pool's deterministic ordering, the
-thread-safety of :class:`ViewRecorder`/:class:`CommunicationLedger`
-(satellite regression), warm/cold triple-store equivalence through the whole
-`Cargo` pipeline, and the configuration-level validation of the new knobs.
+Covered here: traced runs are bit-identical to untraced ones and the
+blocked backend's tile-group spans follow the canonical schedule; the
+thread-safety of :class:`ViewRecorder`/:class:`CommunicationLedger`; and
+warm/cold triple-store equivalence through the whole `Cargo` pipeline,
+including the explicit exhaustion errors on truncated stored material.
 """
 
 from __future__ import annotations
@@ -26,22 +18,20 @@ from repro.core import Cargo, CargoConfig
 from repro.core.backends import (
     BlockedMatrixTriangleCounter,
     FaithfulTriangleCounter,
-    MatrixTriangleCounter,
     share_adjacency_rows,
 )
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.protocol import CommunicationLedger
 from repro.crypto.views import ViewRecorder
-from repro.exceptions import ConfigurationError, DealerError
+from repro.exceptions import DealerError
 from repro.graph import load_dataset
 from repro.graph.generators import erdos_renyi_graph
-from repro.parallel import TripleStore, WorkerPool
+from repro.parallel import TripleStore
 from repro.stream import StreamingCargo, StreamingConfig, replay_stream
 
 BACKENDS = ("faithful", "batched", "matrix", "blocked")
 STATISTICS = ("triangles", "kstars", "wedges", "4cycles")
-WORKER_COUNTS = (1, 2, 4)
 
 
 def _view_streams(views: ViewRecorder):
@@ -59,7 +49,7 @@ def _view_streams(views: ViewRecorder):
     return streams
 
 
-def _run_cargo(graph, statistic, backend, workers, store=None, telemetry=None):
+def _run_cargo(graph, statistic, backend, store=None, telemetry=None):
     config = CargoConfig(
         epsilon=2.0,
         seed=7,
@@ -67,7 +57,6 @@ def _run_cargo(graph, statistic, backend, workers, store=None, telemetry=None):
         counting_backend=backend,
         batch_size=64,
         block_size=16,
-        workers=workers,
         triple_store=store,
         record_views=True,
         track_communication=True,
@@ -85,59 +74,20 @@ def _run_cargo(graph, statistic, backend, workers, store=None, telemetry=None):
     )
 
 
-class TestWorkerCountEquivalence:
-    """workers ∈ {1, 2, 4} are indistinguishable, per backend × statistic."""
-
-    @pytest.fixture(scope="class")
-    def graph(self):
-        return load_dataset("facebook", num_nodes=30)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("statistic", STATISTICS)
-    def test_full_pipeline_bit_identical_across_workers(self, graph, backend, statistic):
-        reference = _run_cargo(graph, statistic, backend, workers=1)
-        for workers in WORKER_COUNTS[1:]:
-            assert _run_cargo(graph, statistic, backend, workers=workers) == reference, (
-                backend,
-                statistic,
-                workers,
-            )
-
-    @pytest.mark.parametrize("backend", ("matrix", "faithful", "batched"))
-    def test_engine_transcript_equals_legacy_for_serial_draw_backends(self, graph, backend):
-        """matrix/faithful/batched keep the legacy dealer draw order exactly."""
-        legacy = _run_cargo(graph, "triangles", backend, workers=None)
-        engine = _run_cargo(graph, "triangles", backend, workers=2)
-        assert engine == legacy
-
-    def test_blocked_engine_output_equals_legacy(self, graph):
-        """The blocked engine re-keys the dealer substreams (different masks)
-        but the released values and ledger are unchanged."""
-        legacy = _run_cargo(graph, "triangles", "blocked", workers=None)
-        engine = _run_cargo(graph, "triangles", "blocked", workers=2)
-        # noisy count, true count, projected count, ledger — all identical.
-        assert engine[:5] == legacy[:5]
-        # Same number of openings recorded, even though mask values differ.
-        assert len(engine[5]) == len(legacy[5])
-
-
 class TestTelemetryDeterminism:
-    """Tracing follows the same shard-merge discipline as the views: the
-    span tree's deterministic part and the metric registry are identical
-    for workers ∈ {1, 2, 4}, and tracing never perturbs the transcript."""
+    """Tracing never perturbs the transcript, and the blocked backend's
+    tile-group spans follow the canonical schedule."""
 
     @pytest.fixture(scope="class")
     def graph(self):
         return load_dataset("facebook", num_nodes=30)
 
     @staticmethod
-    def _traced(graph, backend, workers):
+    def _traced(graph, backend):
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-        transcript = _run_cargo(
-            graph, "triangles", backend, workers=workers, telemetry=telemetry
-        )
+        transcript = _run_cargo(graph, "triangles", backend, telemetry=telemetry)
         return (
             transcript,
             telemetry.tracer.structure(),
@@ -146,29 +96,24 @@ class TestTelemetryDeterminism:
         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_trace_and_metrics_identical_across_workers(self, graph, backend):
-        reference = self._traced(graph, backend, workers=1)
-        for workers in WORKER_COUNTS[1:]:
-            assert self._traced(graph, backend, workers) == reference, (
-                backend,
-                workers,
-            )
+    def test_trace_and_metrics_identical_across_runs(self, graph, backend):
+        """Two fresh runs with one seed give the same transcript, span
+        tree and metric registry: no state leaks between runs."""
+        assert self._traced(graph, backend) == self._traced(graph, backend), backend
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("statistic", STATISTICS)
     def test_transcript_bit_identical_traced_vs_untraced(self, graph, backend, statistic):
         from repro.telemetry import Telemetry
 
-        untraced = _run_cargo(graph, statistic, backend, workers=2)
-        traced = _run_cargo(
-            graph, statistic, backend, workers=2, telemetry=Telemetry()
-        )
+        untraced = _run_cargo(graph, statistic, backend)
+        traced = _run_cargo(graph, statistic, backend, telemetry=Telemetry())
         assert traced == untraced, (backend, statistic)
 
     def test_blocked_tile_group_spans_follow_schedule(self, graph):
         """Every tile group appears exactly once, in canonical (j0, k0)
-        order, regardless of which worker ran it."""
-        _, structure, _, _ = self._traced(graph, "blocked", workers=4)
+        order."""
+        _, structure, _, _ = self._traced(graph, "blocked")
         (root,) = structure
         count_span = next(s for s in root["children"] if s["name"] == "count")
         backend_span = next(
@@ -185,12 +130,28 @@ class TestTelemetryDeterminism:
 
 
 class TestTripleStoreThroughPipeline:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return load_dataset("facebook", num_nodes=30)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cold_and_warm_store_equal_the_store_less_run(self, graph, backend):
+        """A store only moves where material is dealt, never a value on the
+        wire: cold and warm runs equal the store-less run on every backend."""
+        reference = _run_cargo(graph, "triangles", backend)
+        store = TripleStore()
+        cold = _run_cargo(graph, "triangles", backend, store=store)
+        warm = _run_cargo(graph, "triangles", backend, store=store)
+        assert (store.stats()["stores"], store.hits) == (1, 1), backend
+        assert cold == reference, backend
+        assert warm == reference, backend
+
     def test_warm_rerun_is_bit_identical_and_skips_dealing(self):
         graph = load_dataset("facebook", num_nodes=24)
         store = TripleStore()
-        cold = _run_cargo(graph, "triangles", "blocked", workers=2, store=store)
+        cold = _run_cargo(graph, "triangles", "blocked", store=store)
         assert store.stats()["stores"] == 1
-        warm = _run_cargo(graph, "triangles", "blocked", workers=4, store=store)
+        warm = _run_cargo(graph, "triangles", "blocked", store=store)
         assert store.hits >= 1
         assert warm == cold
 
@@ -205,7 +166,6 @@ class TestTripleStoreThroughPipeline:
             seed=3,
             counting_backend="blocked",
             block_size=16,
-            workers=2,
             triple_store=store,
         )
         result = StreamingCargo(config).run(stream)
@@ -234,7 +194,6 @@ class TestTripleStoreThroughPipeline:
             seed=9,
             counting_backend="blocked",
             block_size=16,
-            workers=1,
             offline_seed=1234,
             triple_store=store,
         )
@@ -252,7 +211,6 @@ class TestExhaustionErrors:
         counter = BlockedMatrixTriangleCounter(
             dealer=BeaverTripleDealer(seed=5),
             block_size=8,
-            workers=1,
             triple_store=store,
         )
         counter.count_from_shares(share1, share2)
@@ -262,7 +220,6 @@ class TestExhaustionErrors:
         warm = BlockedMatrixTriangleCounter(
             dealer=BeaverTripleDealer(seed=5),
             block_size=8,
-            workers=1,
             triple_store=store,
         )
         with pytest.raises(DealerError, match="material mismatch"):
@@ -275,7 +232,6 @@ class TestExhaustionErrors:
         counter = FaithfulTriangleCounter(
             dealer=MultiplicationGroupDealer(seed=5),
             batch_size=16,
-            workers=1,
             triple_store=store,
         )
         counter.count_from_shares(share1, share2)
@@ -284,37 +240,10 @@ class TestExhaustionErrors:
         warm = FaithfulTriangleCounter(
             dealer=MultiplicationGroupDealer(seed=5),
             batch_size=16,
-            workers=1,
             triple_store=store,
         )
         with pytest.raises(DealerError):
             warm.count_from_shares(share1, share2)
-
-
-class TestWorkerPool:
-    def test_results_come_back_in_task_order(self):
-        pool = WorkerPool(4)
-        import time
-
-        def task(index):
-            time.sleep(0.002 * (5 - index))  # later tasks finish earlier
-            return index
-
-        assert pool.map([lambda i=i: task(i) for i in range(5)]) == list(range(5))
-
-    def test_parallel_matmul_is_bit_identical(self):
-        from repro.crypto.ring import DEFAULT_RING
-
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 1 << 63, (37, 23), dtype=np.uint64)
-        b = rng.integers(0, 1 << 63, (23, 41), dtype=np.uint64)
-        serial = DEFAULT_RING.matmul(a, b)
-        for workers in (1, 2, 4, 64):
-            assert np.array_equal(WorkerPool(workers).matmul(DEFAULT_RING, a, b), serial)
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WorkerPool(0)
 
 
 class TestRecorderThreadSafety:
@@ -365,24 +294,3 @@ class TestRecorderThreadSafety:
         parent.merge_from(shard_a)
         parent.merge_from(shard_b)
         assert parent.view(1).values("opening") == [1, 2, 3]
-
-
-class TestConfigKnobs:
-    def test_workers_validation(self):
-        with pytest.raises(ConfigurationError):
-            CargoConfig(workers=0)
-        with pytest.raises(ConfigurationError):
-            CargoConfig(workers=-2)
-        assert CargoConfig(workers=3).workers == 3
-        assert CargoConfig().workers is None
-
-    def test_streaming_workers_validation(self):
-        with pytest.raises(ConfigurationError):
-            StreamingConfig(workers=0)
-        assert StreamingConfig(workers=2).workers == 2
-
-    def test_matrix_counter_rejects_direct_bad_workers(self):
-        from repro.exceptions import ProtocolError
-
-        with pytest.raises(ProtocolError):
-            BlockedMatrixTriangleCounter(workers=-1)

@@ -273,7 +273,6 @@ class TestScopeGuards:
         "overrides, match",
         [
             ({"statistic": "kstars"}, "triangles"),
-            ({"workers": 2}, "worker pools"),
             ({"tile_window": 2, "counting_backend": "blocked"}, "tile_window"),
             ({"sparse": "force"}, "sparse"),
         ],

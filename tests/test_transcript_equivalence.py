@@ -259,81 +259,41 @@ class TestMultiChunkTranscriptEquivalence:
         assert scalar_result.share2 == batched_result.share2
 
 
-class TestWorkerCountTranscriptEquivalence:
-    """The tile-parallel engine never moves a value on the wire.
-
-    For the faithful/batched schedule the engine keeps the legacy dealer
-    draw order exactly, so its opening streams must equal the serial path's
-    bit for bit at every worker count; for the blocked engine (per-tile
-    dealer substreams) the streams must be pinned across worker counts and
-    the reconstructed count must match the legacy backend.
-    """
+class TestStoredTranscriptEquivalence:
+    """A triple store's preload is a prefix of the serial loop: cold and
+    warm stored runs open the same values as the store-less run."""
 
     @pytest.fixture(scope="class")
     def shares(self):
         graph = erdos_renyi_graph(14, 0.5, seed=9)
         return share_adjacency_rows(graph.adjacency_matrix(), rng=10)
 
-    def _faithful_openings(self, shares, workers, batch_size):
-        share1, share2 = shares
-        dealer = MultiplicationGroupDealer(seed=61)
+    @staticmethod
+    def _openings(shares, batch_size, store=None):
         views = ViewRecorder()
         counter = FaithfulTriangleCounter(
-            dealer=dealer, batch_size=batch_size, views=views, workers=workers
+            dealer=MultiplicationGroupDealer(seed=61),
+            batch_size=batch_size,
+            views=views,
+            triple_store=store,
         )
-        result = counter.count_from_shares(share1, share2)
-        entries = views.view(1).values("mg_opening")
-        return result, tuple(
-            np.concatenate(
-                [np.atleast_1d(np.asarray(entry[w], dtype=np.uint64)) for entry in entries]
-            )
-            for w in range(3)
-        )
+        result = counter.count_from_shares(*shares)
+        stream = [
+            np.atleast_1d(np.asarray(part, dtype=np.uint64)).tobytes()
+            for server in (1, 2)
+            for entry in views.view(server).values("mg_opening")
+            for part in entry
+        ]
+        return (result.share1, result.share2, result.opening_rounds), stream
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("store_state", ["cold", "warm"])
     @pytest.mark.parametrize("batch_size", [5, 64])
-    def test_engine_openings_equal_legacy_serial(self, shares, workers, batch_size):
-        legacy_result, legacy_stream = self._faithful_openings(shares, 0, batch_size)
-        engine_result, engine_stream = self._faithful_openings(shares, workers, batch_size)
-        for wire in range(3):
-            assert np.array_equal(legacy_stream[wire], engine_stream[wire]), wire
-        assert legacy_result.share1 == engine_result.share1
-        assert legacy_result.share2 == engine_result.share2
+    def test_stored_openings_equal_serial(self, shares, batch_size, store_state):
+        from repro.parallel import TripleStore
 
-    def test_blocked_engine_openings_pinned_across_workers(self, shares):
-        from repro.core.backends import BlockedMatrixTriangleCounter
-        from repro.crypto.beaver import BeaverTripleDealer
-
-        share1, share2 = shares
-
-        def openings(workers):
-            views = ViewRecorder()
-            counter = BlockedMatrixTriangleCounter(
-                dealer=BeaverTripleDealer(seed=62),
-                block_size=4,
-                views=views,
-                workers=workers,
-            )
-            result = counter.count_from_shares(share1, share2)
-            stream = [
-                np.atleast_1d(np.asarray(part, dtype=np.uint64))
-                for entry in views.view(1).values("matrix_beaver_opening")
-                for part in entry
-            ]
-            return result, stream
-
-        reference_result, reference_stream = openings(1)
-        legacy = BlockedMatrixTriangleCounter(
-            dealer=BeaverTripleDealer(seed=62), block_size=4
-        ).count_from_shares(share1, share2)
-        assert reference_result.reconstruct() == legacy.reconstruct()
-        assert reference_result.opening_rounds == legacy.opening_rounds
-        for workers in (2, 4):
-            result, stream = openings(workers)
-            assert (result.share1, result.share2) == (
-                reference_result.share1,
-                reference_result.share2,
-            )
-            assert len(stream) == len(reference_stream)
-            for left, right in zip(stream, reference_stream):
-                assert np.array_equal(left, right)
+        reference = self._openings(shares, batch_size)
+        store = TripleStore()
+        if store_state == "warm":
+            self._openings(shares, batch_size, store=store)
+        assert self._openings(shares, batch_size, store=store) == reference
+        assert store.hits == (1 if store_state == "warm" else 0)

@@ -39,9 +39,8 @@ class TestFuzzCase:
 
     def test_config_kwargs_overrides(self):
         case = draw_case(derive_rng(3), 0)
-        kwargs = case.config_kwargs(counting_backend="matrix", workers=None)
+        kwargs = case.config_kwargs(counting_backend="matrix")
         assert kwargs["counting_backend"] == "matrix"
-        assert kwargs["workers"] is None
         assert kwargs["seed"] == case.seed
 
     def test_build_graph_deterministic(self):
@@ -168,5 +167,19 @@ class TestRunCase:
             edge_probability=0.5,
             statistic="triangles",
             backend=backend,
+        )
+        assert run_case(case) == []
+
+    @pytest.mark.parametrize("tile_window", [1, 2, 3])
+    def test_windowed_blocked_case_passes(self, tile_window):
+        """Window invariance holds on a multi-group schedule."""
+        case = FuzzCase(
+            seed=12,
+            num_nodes=11,
+            edge_probability=0.5,
+            statistic="triangles",
+            backend="blocked",
+            tile_window=tile_window,
+            block_size=4,
         )
         assert run_case(case) == []
